@@ -101,7 +101,8 @@ def cmd_gen_data(args) -> int:
         written.append(out / fileio.Dataset.SCENARIO)
         fileio.atomic_write_bytes(out / fileio.Dataset.SCENARIO, Path(args.scenario).read_bytes())
         written.append(out / fileio.Dataset.MANIFEST)
-        dataset = fileio.Dataset(out, scenario, args.split, stems)
+        provenance = {"seed": base_seed, "noise": args.noise, "n_angles": op.n_angles, "n_r_per_dt": op.n_r_per_dt}
+        dataset = fileio.Dataset(out, scenario, args.split, stems, provenance)
         dataset.write_manifest()
         dataset.validate()
     except BaseException:

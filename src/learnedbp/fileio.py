@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, FormatError, ShapeMismatchError
 from .forward import SensorData
 from .geometry import (
+    _DEFAULT_N_S,
     DetectorArray,
     ImageGrid,
     Scenario,
@@ -163,7 +164,6 @@ _CANONICAL_KEYS = (
     "seed",
 )
 _CUSTOM_KEYS = ("arc_start", "arc_end")
-_DEFAULT_N_S = {"A_limited_view": 100, "B_sparse": 20, "C_limited_sparse": 20, "custom": 100}
 
 
 def _parse_bool(text: str) -> bool:
@@ -265,17 +265,22 @@ class Dataset:
     Layout: `scenario.cfg`, `manifest.txt`, and per sample
     `phantom_%05d.patb` + `data_%05d.patb`.  The manifest pins the split
     tag and the ordered sample stems; :meth:`validate` cross-checks it
-    against the actual listing.
+    against the actual listing.  ``provenance`` holds what produced the
+    samples, any of: the effective base seed (sample i is the phantom of
+    seed + i), the relative noise level and the simulator's quadrature
+    (``n_angles``, ``n_r_per_dt``).
     """
 
     MANIFEST = "manifest.txt"
     SCENARIO = "scenario.cfg"
+    PROVENANCE = {"seed": int, "noise": float, "n_angles": int, "n_r_per_dt": int}
 
-    def __init__(self, root, scenario: Scenario, split: str, stems: list):
+    def __init__(self, root, scenario: Scenario, split: str, stems: list, provenance: dict | None = None):
         self.root = Path(root)
         self.scenario = scenario
         self.split = split
         self.stems = list(stems)
+        self.provenance = dict(provenance or {})
 
     def __len__(self):
         return len(self.stems)
@@ -291,6 +296,7 @@ class Dataset:
         split = None
         count = None
         stems = []
+        provenance = {}
         for lineno, line in enumerate((root / cls.MANIFEST).read_text().splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -301,6 +307,11 @@ class Dataset:
                     split = value
                 elif key == "count":
                     count = int(value)
+                elif key in cls.PROVENANCE:
+                    try:
+                        provenance[key] = cls.PROVENANCE[key](value)
+                    except ValueError as exc:
+                        raise ConfigError(f"{root / cls.MANIFEST}:{lineno}: {exc}") from exc
                 elif key != "scenario":
                     raise ConfigError(f"{root / cls.MANIFEST}:{lineno}: unknown key {key!r}")
             else:
@@ -309,7 +320,7 @@ class Dataset:
             raise ConfigError(f"{root / cls.MANIFEST}: missing or bad split tag")
         if count != len(stems):
             raise ConfigError(f"{root / cls.MANIFEST}: count={count} but {len(stems)} stems listed")
-        dataset = cls(root, scenario, split, stems)
+        dataset = cls(root, scenario, split, stems, provenance)
         dataset.validate()
         return dataset
 
@@ -323,6 +334,7 @@ class Dataset:
 
     def write_manifest(self):
         lines = [f"split={self.split}", f"count={len(self.stems)}", f"scenario={self.SCENARIO}"]
+        lines.extend(f"{key}={value!r}" for key, value in self.provenance.items())
         lines.extend(self.stems)
         atomic_write_bytes(self.root / self.MANIFEST, ("\n".join(lines) + "\n").encode("ascii"))
 

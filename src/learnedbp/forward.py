@@ -7,6 +7,12 @@ inverse-square-root kernel exactly on each radial sub-interval (the
 singularity at r = t is handled analytically), and differentiates in
 time with finite differences.  Detector directivity multiplies each
 angular sample by the cos^2 sensitivity of the receiving detector.
+
+The image is read with bilinear interpolation, zero outside the grid.
+Each image is padded by one zero pixel so the 4-tap stencil needs no
+per-tap mask, and each ray from a detector is clipped to the square
+that stencil can reach: only circle samples that can be nonzero are
+gathered, and each is added into its radial bin.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
 from .geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, directivity_factors
-from .phantoms import Image, sample_bilinear_values
+from .phantoms import Image, bilinear_stencil, sample_bilinear_values, zero_pad
 
 DEFAULT_N_R_PER_DT = 4
 
@@ -160,68 +166,82 @@ class ForwardOperator:
         self.omega = circle_nodes(n_angles)
         self.phi = directivity_factors(det.normals, self.omega) if scenario.directivity_enabled else None
 
+    def _samples(self, j: int):
+        """Every circle sample of detector ``j`` that can be nonzero.
+
+        The ray p_j + r*omega_a meets the square of half-width
+        extent + h/2 -- the support of the zero-padded bilinear stencil --
+        in one interval of r, found per angle by the slab method.  Only
+        the radial nodes inside it, widened by one node at each end, are
+        sampled.  Returns their radial node indices and their stencil
+        (indices into the padded image and weights, with the detector's
+        directivity folded in).
+        """
+        grid = self.scenario.grid
+        pos = self.scenario.detectors.positions[j]
+        half = grid.extent + 0.5 * grid.spacing
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_near = (-half - pos[:, None]) / self.omega.T
+            t_far = (half - pos[:, None]) / self.omega.T
+        r_in = np.fmin(t_near, t_far).max(axis=0)
+        r_out = np.fmax(t_near, t_far).min(axis=0)
+
+        dr = self.radii[1]
+        n_r = self.radii.shape[0] - 1
+        first = np.clip(np.ceil(r_in / dr) - 1, 0, n_r + 1).astype(np.int64)
+        last = np.clip(np.floor(r_out / dr) + 1, -1, n_r).astype(np.int64)
+        count = np.maximum(last - first + 1, 0)
+
+        # node index of each sample: consecutive along every clipped ray
+        skip = np.cumsum(count) - count - first
+        node = np.arange(count.sum()) - np.repeat(skip, count)
+        r = self.radii[node]
+        x = np.repeat(self.omega[:, 0], count)
+        x *= r
+        x += pos[0]
+        y = np.repeat(self.omega[:, 1], count)
+        y *= r
+        y += pos[1]
+        idx, wts = bilinear_stencil(grid, x, y)
+        if self.phi is not None:
+            wts *= np.repeat(self.phi[j], count)
+        return node, idx, wts
+
+    def _table(self, samples, padded: np.ndarray) -> np.ndarray:
+        """Radius-weighted directional circular means at every radial
+        node, for one zero-padded flat image."""
+        node, idx, wts = samples
+        vals = np.einsum("qm,qm->m", padded.take(idx), wts)
+        sums = np.bincount(node, weights=vals, minlength=self.radii.shape[0])
+        return self.radii * sums / self.n_angles
+
     def mean_table(self, img: Image, j: int) -> np.ndarray:
         """Directional circular means of ``img`` around detector ``j`` at
         every radial node, already multiplied by the radius."""
-        det = self.scenario.detectors
-        points = det.positions[j][None, None, :] + self.radii[:, None, None] * self.omega[None, :, :]
-        vals = sample_bilinear_values(img.values, img.grid, points)
-        if self.phi is not None:
-            vals *= self.phi[j][None, :]
-        return self.radii * vals.mean(axis=1)
+        return self._table(self._samples(j), zero_pad(img.values))
 
     def simulate(self, img: Image) -> SensorData:
         return self.simulate_batch([img])[0]
 
     def simulate_batch(self, images) -> list[SensorData]:
-        """Simulate several images at once, reusing per-detector geometry."""
+        """Simulate several images at once, sampling each detector's
+        circles once for the whole batch."""
         scenario = self.scenario
         grid, det, time = scenario.grid, scenario.detectors, scenario.time
         for img in images:
             if img.grid != grid:
                 raise ShapeMismatchError(f"image grid {img.grid} does not match scenario grid {grid}")
         n_img = len(images)
+        padded = [zero_pad(img.values) for img in images]
         out = np.empty((n_img, time.n_t, det.n_s))
         m_table = np.empty((self.radii.shape[0], n_img))
         for j in range(det.n_s):
-            points = det.positions[j][None, None, :] + self.radii[:, None, None] * self.omega[None, :, :]
-            idx, wts = _bilinear_plan(grid, points)
-            if self.phi is not None:
-                wts = wts * self.phi[j][None, None, :]
-            for k, img in enumerate(images):
-                vals = img.values.take(idx.reshape(4, -1))
-                m_table[:, k] = self.radii * np.einsum("qra,qra->r", vals.reshape(wts.shape), wts) / self.n_angles
+            samples = self._samples(j)
+            for k, image in enumerate(padded):
+                m_table[:, k] = self._table(samples, image)
             v = self.abel @ m_table
             out[:, :, j] = time_derivative(v, time.dt).T
         return [SensorData(out[k], time, det) for k in range(n_img)]
-
-
-def _bilinear_plan(grid: ImageGrid, points: np.ndarray):
-    """Flat gather indices and weights realizing zero-padded bilinear
-    interpolation at ``points``; both are (4,) + points.shape[:-1]."""
-    h = grid.spacing
-    col = (points[..., 0] + grid.extent) / h - 0.5
-    row = (grid.extent - points[..., 1]) / h - 0.5
-    i0 = np.floor(row).astype(np.int64)
-    j0 = np.floor(col).astype(np.int64)
-    fr = row - i0
-    fc = col - j0
-
-    n = grid.n
-    idx = np.empty((4,) + points.shape[:-1], dtype=np.int64)
-    wts = np.empty((4,) + points.shape[:-1])
-    for q, (di, dj, w) in enumerate((
-        (0, 0, (1 - fr) * (1 - fc)),
-        (0, 1, (1 - fr) * fc),
-        (1, 0, fr * (1 - fc)),
-        (1, 1, fr * fc),
-    )):
-        ii = i0 + di
-        jj = j0 + dj
-        valid = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
-        idx[q] = np.clip(ii, 0, n - 1) * n + np.clip(jj, 0, n - 1)
-        wts[q] = np.where(valid, w, 0.0)
-    return idx, wts
 
 
 def simulate(

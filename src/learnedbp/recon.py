@@ -218,12 +218,15 @@ class BackprojectionOperator:
                     a_mat = integral_weights(self.dist[start:stop, j], self.time, self.sound_speed)
                     integral[start:stop, j] = a_mat @ q[:, j]
         else:
+            # lo + frac * (hi - lo), in place to spare the large temporaries
             table = self._table_matrix @ q
             lo = np.take_along_axis(table, self._idx, axis=0)
-            hi = np.take_along_axis(table, self._idx + 1, axis=0)
-            integral = lo + self._frac * (hi - lo)
-        b = self.geom * integral
-        return ContribTensor(b.reshape(n, n, self.detectors.n_s), self.grid)
+            integral = np.take_along_axis(table[1:], self._idx, axis=0)
+            integral -= lo
+            integral *= self._frac
+            integral += lo
+        integral *= self.geom
+        return ContribTensor(integral.reshape(n, n, self.detectors.n_s), self.grid)
 
     def apply(self, weights: WeightTensor, data: SensorData) -> Image:
         return self.apply_to_contrib(weights, self.contrib(data))
@@ -237,7 +240,9 @@ class BackprojectionOperator:
         unweighted sum bitwise (multiplying by 1.0 is exact), and the
         training loop can reuse it on not-yet-validated arrays.
         """
-        return (w_values**2 * b_values).sum(axis=2)
+        prod = np.square(w_values)
+        prod *= b_values
+        return prod.sum(axis=2)
 
     def apply_to_contrib(self, weights: WeightTensor, b: ContribTensor) -> Image:
         if weights.grid != self.grid or weights.n_s != self.detectors.n_s:

@@ -13,7 +13,7 @@ import pytest
 
 from learnedbp import fileio
 from learnedbp.cli import main
-from learnedbp.forward import SensorData
+from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import make_scenario
 from learnedbp.phantoms import PhantomParams, generate_phantom
 from learnedbp.recon import BackprojectionOperator, WeightTensor
@@ -178,12 +178,31 @@ def test_gen_data_noise_is_seeded_and_nonzero(tmp_path, cfg_path):
     assert main(args + ["--out", str(out_b)]) == 0
     noisy = fileio.read_patb(out_a / "data_00000.patb")
     np.testing.assert_array_equal(noisy, fileio.read_patb(out_b / "data_00000.patb"))
+    assert fileio.Dataset.open(out_a).provenance["noise"] == 0.1
 
     out_c = tmp_path / "clean"
     rc = main(["gen-data", "--scenario", str(cfg_path), "--count", "1", "--out", str(out_c)])
     assert rc == 0
     clean = fileio.read_patb(out_c / "data_00000.patb")
     assert not np.array_equal(noisy, clean)
+
+
+def test_gen_data_manifest_rebuilds_the_dataset(tmp_path, cfg_path):
+    # --seed overrides the config's seed=7; the manifest alone must say so
+    out = tmp_path / "seeded"
+    rc = main(["gen-data", "--scenario", str(cfg_path), "--out", str(out), "--count", "2", "--seed", "900"])
+    assert rc == 0
+    dataset = fileio.Dataset.open(out)
+    assert dataset.provenance == {"seed": 900, "noise": 0.0, "n_angles": 4 * N, "n_r_per_dt": 4}
+    op = ForwardOperator(
+        dataset.scenario,
+        n_angles=dataset.provenance["n_angles"],
+        n_r_per_dt=dataset.provenance["n_r_per_dt"],
+    )
+    for i, (data, phantom) in enumerate(dataset.pairs()):
+        rebuilt = generate_phantom(PhantomParams(seed=dataset.provenance["seed"] + i), dataset.scenario.grid)
+        np.testing.assert_array_equal(phantom.values, f32(rebuilt.values))
+        np.testing.assert_array_equal(data.values, f32(op.simulate(rebuilt).values))
 
 
 def test_gen_data_removes_partial_output_on_failure(tmp_path, cfg_path, monkeypatch):

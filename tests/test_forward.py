@@ -14,7 +14,7 @@ from learnedbp.forward import (
     time_derivative,
 )
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
-from learnedbp.phantoms import Image, PhantomParams, generate_phantom
+from learnedbp.phantoms import Image, PhantomParams, generate_phantom, sample_bilinear_values
 
 
 def _gaussian_image(grid: ImageGrid, center, sigma: float, amp: float = 1.0) -> Image:
@@ -231,6 +231,86 @@ class TestSimulate:
                 n_angles=op.n_angles,
             )
             assert table[i] == pytest.approx(expected, abs=1e-13)
+
+
+def _oracle_plan(grid: ImageGrid, points: np.ndarray):
+    """The gather the simulator used before ray clipping: a full 4-tap
+    plan over every circle sample, with a validity mask per tap."""
+    h = grid.spacing
+    col = (points[..., 0] + grid.extent) / h - 0.5
+    row = (grid.extent - points[..., 1]) / h - 0.5
+    i0 = np.floor(row).astype(np.int64)
+    j0 = np.floor(col).astype(np.int64)
+    fr = row - i0
+    fc = col - j0
+
+    n = grid.n
+    idx = np.empty((4,) + points.shape[:-1], dtype=np.int64)
+    wts = np.empty((4,) + points.shape[:-1])
+    for q, (di, dj, w) in enumerate((
+        (0, 0, (1 - fr) * (1 - fc)),
+        (0, 1, (1 - fr) * fc),
+        (1, 0, fr * (1 - fc)),
+        (1, 1, fr * fc),
+    )):
+        ii = i0 + di
+        jj = j0 + dj
+        valid = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
+        idx[q] = np.clip(ii, 0, n - 1) * n + np.clip(jj, 0, n - 1)
+        wts[q] = np.where(valid, w, 0.0)
+    return idx, wts
+
+
+def _oracle_simulate(op: ForwardOperator, images) -> np.ndarray:
+    """simulate_batch as it was before ray clipping, (n_img, n_t, n_s)."""
+    sc = op.scenario
+    det, time = sc.detectors, sc.time
+    out = np.empty((len(images), time.n_t, det.n_s))
+    m_table = np.empty((op.radii.shape[0], len(images)))
+    for j in range(det.n_s):
+        points = det.positions[j][None, None, :] + op.radii[:, None, None] * op.omega[None, :, :]
+        idx, wts = _oracle_plan(sc.grid, points)
+        if op.phi is not None:
+            wts = wts * op.phi[j][None, None, :]
+        for k, img in enumerate(images):
+            vals = img.values.take(idx.reshape(4, -1))
+            m_table[:, k] = op.radii * np.einsum("qra,qra->r", vals.reshape(wts.shape), wts) / op.n_angles
+        out[:, :, j] = time_derivative(op.abel @ m_table, time.dt).T
+    return out
+
+
+class TestRayClippedGather:
+    @pytest.mark.parametrize("label", ["A_limited_view", "B_sparse", "C_limited_sparse"])
+    def test_matches_full_gather(self, label):
+        # random and all-ones images are nonzero on the border pixels,
+        # where a stencil that extrapolates would show; phantoms are not
+        sc = make_scenario(label, n=32, n_t=100)
+        op = ForwardOperator(sc)
+        rng = np.random.default_rng(11)
+        images = [Image(sc.grid, rng.random((32, 32))), Image(sc.grid, np.ones((32, 32)))]
+        expected = _oracle_simulate(op, images)
+        for img, want in zip(op.simulate_batch(images), expected):
+            np.testing.assert_allclose(img.values, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+    def test_border_of_padded_image_reads_zero(self):
+        grid = ImageGrid(n=8)
+        ones = np.ones((8, 8))
+        edge = grid.extent + 0.5 * grid.spacing
+        for x in (edge, np.nextafter(edge, np.inf), edge + 0.1 * grid.spacing, 10.0):
+            pts = np.array([[x, 0.1], [-x, 0.1], [0.1, x], [0.1, -x], [x, x]])
+            np.testing.assert_array_equal(sample_bilinear_values(ones, grid, pts), np.zeros(5))
+        # just inside the border the stencil ramps up from zero
+        inside = np.array([[edge - 0.25 * grid.spacing, 0.1]])
+        assert sample_bilinear_values(ones, grid, inside)[0] == pytest.approx(0.25, abs=1e-12)
+
+    def test_stack_of_images(self):
+        grid = ImageGrid(n=8)
+        stack = np.random.default_rng(3).random((3, 8, 8))
+        pts = np.random.default_rng(4).uniform(-1.2, 1.2, size=(5, 7, 2))
+        got = sample_bilinear_values(stack, grid, pts)
+        assert got.shape == (3, 5, 7)
+        for k in range(3):
+            np.testing.assert_array_equal(got[k], sample_bilinear_values(stack[k], grid, pts))
 
 
 class TestDirectivityInSimulation:

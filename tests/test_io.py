@@ -391,3 +391,16 @@ class TestDataset:
         manifest.write_text("mystery=1\n" + manifest.read_text())
         with pytest.raises(ConfigError):
             Dataset.open(tmp_path)
+
+    def test_provenance_roundtrip(self, tmp_path):
+        sc, _ = _make_dataset(tmp_path, count=2)
+        provenance = {"seed": 900, "noise": 0.01, "n_angles": 64, "n_r_per_dt": 4}
+        Dataset(tmp_path, sc, "train", [Dataset.stem(k) for k in range(2)], provenance).write_manifest()
+        assert Dataset.open(tmp_path).provenance == provenance
+
+    def test_bad_provenance_value_detected(self, tmp_path):
+        _make_dataset(tmp_path, count=1)
+        manifest = tmp_path / Dataset.MANIFEST
+        manifest.write_text("seed=five\n" + manifest.read_text())
+        with pytest.raises(ConfigError):
+            Dataset.open(tmp_path)

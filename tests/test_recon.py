@@ -186,6 +186,21 @@ class TestBackprojection:
             assert far.any()
             assert np.all(b.values[:, :, j][far] == 0.0)
 
+    def test_in_place_contrib_and_apply_match_plain_expressions_bitwise(self):
+        # contrib and apply_values work in place; the operations and their
+        # order are those of the plain expressions, so results are bitwise equal
+        sc = _scenario(n=24, n_s=5, n_t=80)
+        op = BackprojectionOperator.from_scenario(sc)
+        data = _smooth_data(sc, seed=10)
+        table = op._table_matrix @ time_filter(data, op.sound_speed)
+        lo = np.take_along_axis(table, op._idx, axis=0)
+        hi = np.take_along_axis(table, op._idx + 1, axis=0)
+        expected = (op.geom * (lo + op._frac * (hi - lo))).reshape(24, 24, 5)
+        b = op.contrib(data).values
+        assert np.array_equal(b, expected)
+        w = np.random.default_rng(11).standard_normal(b.shape)
+        assert np.array_equal(BackprojectionOperator.apply_values(w, b), (w**2 * b).sum(axis=2))
+
     def test_exact_mode_close_to_table(self):
         sc = _scenario(n=24, n_s=5, n_t=80)
         data = _smooth_data(sc, seed=9)
