@@ -35,21 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _scenario_signature(scenario):
-    det = scenario.detectors
-    return (
-        scenario.label,
-        scenario.grid.n,
-        scenario.grid.extent,
-        det.n_s,
-        det.radius,
-        scenario.time.n_t,
-        scenario.time.t_final,
-        scenario.directivity_enabled,
-        scenario.sound_speed,
-    )
-
-
 def _resolve_scenario(args, dataset=None):
     """Scenario from --scenario, falling back to (and cross-checked
     against) the dataset's own config."""
@@ -59,10 +44,9 @@ def _resolve_scenario(args, dataset=None):
     if dataset is not None:
         if scenario is None:
             scenario = dataset.scenario
-        elif _scenario_signature(scenario) != _scenario_signature(dataset.scenario):
+        elif scenario.signature != dataset.scenario.signature:
             raise ShapeMismatchError(
-                f"--scenario {_scenario_signature(scenario)} does not match dataset "
-                f"{_scenario_signature(dataset.scenario)}"
+                f"--scenario {scenario.signature} does not match dataset {dataset.scenario.signature}"
             )
     if scenario is None:
         raise ConfigError("--scenario is required for this command")
@@ -131,6 +115,7 @@ def cmd_train(args) -> int:
         weight_grid=args.weight_grid,
     )
     log_path = out / "train.log"
+    log_path.unlink(missing_ok=True)  # a re-run into the same directory starts a fresh log
 
     def checkpoint(epoch, weights):
         fileio.write_patb(out / f"weights_epoch{epoch:04d}.patb", weights.values)
@@ -149,7 +134,7 @@ def cmd_train(args) -> int:
         weight_reader=fileio.read_patb,
     )
     print(f"trained {state.epoch} epochs, lr={state.learning_rate!r}, checkpoints in {out}")
-    if state.heldout_losses:
+    if heldout_pairs and state.heldout_losses:
         print(f"final held-out loss {state.heldout_losses[-1]!r}")
     return EXIT_OK
 

@@ -240,6 +240,23 @@ class Scenario:
             if np.any(np.abs(gaps - 2.0 * math.pi / len(angles)) > 1e-9):
                 raise ConfigError("label B_sparse requires equidistant detectors on the full circle")
 
+    @property
+    def signature(self) -> tuple:
+        """The fields two scenarios must share for data made under one to be
+        read under the other."""
+        det = self.detectors
+        return (
+            self.label,
+            self.grid.n,
+            self.grid.extent,
+            det.n_s,
+            det.radius,
+            self.time.n_t,
+            self.time.t_final,
+            self.directivity_enabled,
+            self.sound_speed,
+        )
+
 
 # default detector counts for the three canonical arrangements
 _DEFAULT_N_S = {"A_limited_view": 100, "B_sparse": 20, "C_limited_sparse": 20}

@@ -244,12 +244,15 @@ class BackprojectionOperator:
         prod *= b_values
         return prod.sum(axis=2)
 
-    def apply_to_contrib(self, weights: WeightTensor, b: ContribTensor) -> Image:
+    def check_weights(self, weights: WeightTensor):
         if weights.grid != self.grid or weights.n_s != self.detectors.n_s:
             raise ShapeMismatchError(
                 f"weights ({weights.grid.n}, {weights.grid.n}, {weights.n_s}) do not match operator "
                 f"({self.grid.n}, {self.grid.n}, {self.detectors.n_s})"
             )
+
+    def apply_to_contrib(self, weights: WeightTensor, b: ContribTensor) -> Image:
+        self.check_weights(weights)
         return Image(self.grid, self.apply_values(weights.values, b.values))
 
     def standard(self, data: SensorData) -> Image:

@@ -3,9 +3,12 @@
 The objective is the mean squared reconstruction error over a set of
 (sensor data, source image) pairs.  Because the reconstruction is
 sum_j W^2 b with b independent of W, the gradient has the closed form
-4 * (recon - truth) * W * b and one forward pass per sample is all a
-step costs.  Training is plain SGD with batch size one, deterministic
-given the dataset and the config.
+4 * (recon - truth) * W * b, and the contributions b of every training
+and held-out sample are computed once per run, before the learning-rate
+pre-scan.  Stored contributions are bounded by CONTRIB_CACHE_BYTES
+(n^2 * n_s * 8 bytes per sample, training samples first); samples past
+the budget recompute b at each use.  Training is plain SGD with batch
+size one, deterministic given the dataset and the config.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .recon import BackprojectionOperator, WeightTensor
 
 PROBE_SAMPLES = 5
 PROBE_STEPS = 5
+# memory for stored contributions b; samples past it recompute b at each use
+CONTRIB_CACHE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -105,10 +110,39 @@ def grad(weights: WeightTensor, pair, op: BackprojectionOperator) -> np.ndarray:
     data, truth = pair
     if truth.grid != weights.grid:
         raise ShapeMismatchError("truth image grid does not match weights")
-    b = op.contrib(data)
-    recon = op.apply_to_contrib(weights, b)
-    residual = recon.values - truth.values
-    return 4.0 * residual[:, :, None] * weights.values * b.values
+    op.check_weights(weights)
+    return _step(weights.values, op.contrib(data).values, truth.values)[1]
+
+
+def _step(w: np.ndarray, b: np.ndarray, truth: np.ndarray, gradient: bool = True):
+    """Squared error ||sum_j w^2 b - f||^2 of one sample on raw arrays and,
+    unless ``gradient`` is false, its gradient 4 * residual * w * b."""
+    residual = BackprojectionOperator.apply_values(w, b) - truth
+    error = float((residual**2).sum())
+    if not gradient:
+        return error, None
+    full = 4.0 * residual[:, :, None] * w
+    full *= b
+    return error, full
+
+
+def _store_contribs(pairs, op: BackprojectionOperator, budget: int) -> list:
+    """b of the leading pairs whose arrays fit in ``budget`` bytes."""
+    count = min(len(pairs), budget // (op.grid.n * op.grid.n * op.detectors.n_s * 8))
+    return [op.contrib(data).values for data, _ in pairs[:count]]
+
+
+def _contrib(op: BackprojectionOperator, pairs, stored: list, k: int) -> np.ndarray:
+    """b of ``pairs[k]``: the stored array, or recomputed past the budget."""
+    return stored[k] if k < len(stored) else op.contrib(pairs[k][0]).values
+
+
+def _mean_error(w: np.ndarray, pairs, stored: list, op: BackprojectionOperator) -> float:
+    """:func:`loss` of ``pairs`` at the raw weights ``w``, reading stored b."""
+    total = 0.0
+    for k, (_, truth) in enumerate(pairs):
+        total += _step(w, _contrib(op, pairs, stored, k), truth.values, gradient=False)[0]
+    return total / len(pairs)
 
 
 class _WeightParam:
@@ -199,23 +233,23 @@ def epoch_order(shuffle_seed: int, epoch: int, n_samples: int) -> np.ndarray:
     return rng.permutation(n_samples)
 
 
-def prescan_learning_rate(param: _WeightParam, values: np.ndarray, pairs, op: BackprojectionOperator) -> float:
+def prescan_learning_rate(param: _WeightParam, values: np.ndarray, pairs, op: BackprojectionOperator, stored=()) -> float:
     """Pick the default learning rate: one decade below the largest power of
     ten for which a few probe steps on a few samples keep the loss finite and
     decreasing.
+
+    The probes are the first PROBE_SAMPLES pairs; ``stored`` holds the
+    contributions b of leading pairs already computed, the rest are
+    computed here once.
 
     The backoff matters: the probes run a few dozen updates, but an epoch
     over a real training set runs hundreds, and a rate at the edge of
     stability can survive the former yet blow up mid-epoch."""
     probe = pairs[:PROBE_SAMPLES]
-    contribs = [op.contrib(data).values for data, _ in probe]
+    contribs = [_contrib(op, probe, stored, k) for k in range(len(probe))]
 
     def probe_loss(w):
-        total = 0.0
-        for (_, truth), b in zip(probe, contribs):
-            residual = op.apply_values(param.expand_values(w), b) - truth.values
-            total += float((residual**2).sum())
-        return total / len(probe)
+        return _mean_error(param.expand_values(w), probe, contribs, op)
 
     base = probe_loss(values)
     if base == 0.0:
@@ -228,9 +262,7 @@ def prescan_learning_rate(param: _WeightParam, values: np.ndarray, pairs, op: Ba
             ok = True
             for _ in range(PROBE_STEPS):
                 for (_, truth), b in zip(probe, contribs):
-                    full_w = param.expand_values(w)
-                    residual = op.apply_values(full_w, b) - truth.values
-                    w -= lr * param.pull_back(4.0 * residual[:, :, None] * full_w * b)
+                    w -= lr * param.pull_back(_step(param.expand_values(w), b, truth.values)[1])
                 current = probe_loss(w) if np.all(np.isfinite(w)) else np.inf
                 if not np.isfinite(current) or current >= prev:
                     ok = False
@@ -266,9 +298,12 @@ def sgd_train(
     param = _WeightParam(op.grid, op.detectors.n_s, cfg.weight_grid)
     values = param.init_values(cfg.init, reader=weight_reader)
 
+    train_b = _store_contribs(train_pairs, op, CONTRIB_CACHE_BYTES)
+    heldout_b = _store_contribs(heldout_pairs, op, CONTRIB_CACHE_BYTES - sum(b.nbytes for b in train_b))
+
     lr = cfg.learning_rate
     if lr is None:
-        lr = prescan_learning_rate(param, values, train_pairs, op)
+        lr = prescan_learning_rate(param, values, train_pairs, op, stored=train_b)
 
     if checkpoint is not None:
         checkpoint(0, param.expand(values))
@@ -284,11 +319,8 @@ def sgd_train(
                 step = np.zeros_like(values)
                 w = param.expand_values(values)
                 for k in batch:
-                    data, truth = train_pairs[k]
-                    b = op.contrib(data).values
-                    residual = op.apply_values(w, b) - truth.values
-                    epoch_total += float((residual**2).sum())
-                    full = 4.0 * residual[:, :, None] * w * b
+                    error, full = _step(w, _contrib(op, train_pairs, train_b, k), train_pairs[k][1].values)
+                    epoch_total += error
                     step += param.pull_back(full)
                 values = values - (lr / len(batch)) * step
                 if not np.all(np.isfinite(values)):
@@ -301,7 +333,7 @@ def sgd_train(
                 f"training diverged at epoch {epoch} (loss {train_loss}); try a lower learning rate"
             )
         weights = param.expand(values)
-        heldout = loss(weights, heldout_pairs, op) if len(heldout_pairs) else float("nan")
+        heldout = _mean_error(weights.values, heldout_pairs, heldout_b, op) if len(heldout_pairs) else float("nan")
         state.weights = weights
         state.epoch = epoch
         state.train_losses.append(train_loss)

@@ -274,6 +274,25 @@ def test_train_heldout_loss_is_logged(tmp_path, train_dir, test_dir, capsys):
     assert "final held-out loss" in capsys.readouterr().out
 
 
+def test_train_without_heldout_prints_no_heldout_loss(tmp_path, train_dir, capsys):
+    rc = main(["train", "--data", str(train_dir), "--out", str(tmp_path / "run"),
+               "--epochs", "1", "--lr", "1e-4"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "trained 1 epochs" in out
+    assert "held-out" not in out
+
+
+def test_train_rerun_into_same_directory_starts_a_fresh_log(tmp_path, train_dir):
+    args = ["train", "--data", str(train_dir), "--out", str(tmp_path / "run"), "--epochs", "2", "--lr", "1e-4"]
+    assert main(args) == 0
+    first = read_lines(tmp_path / "run" / "train.log")
+    assert main(args) == 0
+    second = read_lines(tmp_path / "run" / "train.log")
+    assert len(second) == 2
+    assert strip_wall_column(second) == strip_wall_column(first)
+
+
 def strip_wall_column(lines):
     return [line.rsplit(",", 1)[0] for line in lines]
 

@@ -181,6 +181,17 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario(grid=grid, detectors=det, time=time, sound_speed=0.0, label="B_sparse")
 
+    def test_signature_tells_scenarios_apart(self):
+        base = make_scenario("B_sparse", n=16, n_s=4, n_t=30)
+        assert base.signature == make_scenario("B_sparse", n=16, n_s=4, n_t=30).signature
+        assert base.signature[0] == "B_sparse"
+        for other in (
+            make_scenario("B_sparse", n=16, n_s=5, n_t=30),
+            make_scenario("B_sparse", n=16, n_s=4, n_t=31),
+            make_scenario("B_sparse", n=16, n_s=4, n_t=30, directivity_enabled=False),
+        ):
+            assert other.signature != base.signature
+
 
 class TestDetectorArrayValidation:
     def test_rejects_off_circle_positions(self):

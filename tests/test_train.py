@@ -8,7 +8,10 @@ from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors
 from learnedbp.phantoms import Image, PhantomParams, generate_phantom
 from learnedbp.recon import BackprojectionOperator, WeightTensor
+from learnedbp import training
 from learnedbp.training import (
+    PROBE_SAMPLES,
+    PROBE_STEPS,
     TrainConfig,
     TrainState,
     epoch_order,
@@ -261,6 +264,101 @@ class TestSgdTrain:
         state = sgd_train(train, heldout, cfg, op)
         assert state.weights.values.shape == (sc.grid.n, sc.grid.n, sc.detectors.n_s)
         assert state.train_losses[-1] < state.train_losses[0]
+
+
+def _reference_sgd(train, heldout, cfg, op):
+    """SGD and its learning-rate pre-scan from their definitions, calling
+    op.contrib afresh at every use; returns (weights, train losses,
+    held-out losses, learning rate)."""
+    param = _WeightParam(op.grid, op.detectors.n_s, cfg.weight_grid)
+    values = param.init_values(cfg.init)
+
+    def error_and_grad(v, pair):
+        data, truth = pair
+        w = param.expand_values(v)
+        b = op.contrib(data).values
+        residual = op.apply_values(w, b) - truth.values
+        return float((residual**2).sum()), param.pull_back(4.0 * residual[:, :, None] * w * b)
+
+    def mean_error(v, pairs):
+        total = 0.0
+        for pair in pairs:
+            total += error_and_grad(v, pair)[0]
+        return total / len(pairs)
+
+    lr = cfg.learning_rate
+    if lr is None:
+        probe = train[:PROBE_SAMPLES]
+        base = mean_error(values, probe)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for exponent in range(2, -13, -1):
+                w, prev = values.copy(), base
+                for _ in range(PROBE_STEPS):
+                    for pair in probe:
+                        w -= 10.0**exponent * error_and_grad(w, pair)[1]
+                    current = mean_error(w, probe) if np.all(np.isfinite(w)) else np.inf
+                    if not current < prev:
+                        break
+                    prev = current
+                else:
+                    lr = 10.0**exponent / 10.0
+                    break
+
+    train_losses, heldout_losses = [], []
+    for epoch in range(1, cfg.epochs + 1):
+        order = epoch_order(cfg.shuffle_seed, epoch, len(train))
+        total = 0.0
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = order[lo : lo + cfg.batch_size]
+            step = np.zeros_like(values)
+            for k in batch:
+                error, g = error_and_grad(values, train[k])
+                total += error
+                step += g
+            values = values - (lr / len(batch)) * step
+        train_losses.append(total / len(train))
+        heldout_losses.append(mean_error(values, heldout))
+    return param.expand_values(values), train_losses, heldout_losses, lr
+
+
+class TestStoredContributions:
+    @pytest.mark.parametrize(
+        "overrides, stored_samples",
+        [
+            ({}, None),
+            ({"weight_grid": 4, "batch_size": 2, "shuffle_seed": 3}, None),
+            ({"batch_size": 3, "shuffle_seed": 5}, 1),
+        ],
+        ids=["full-resolution", "weight-grid-batch-2", "one-sample-budget"],
+    )
+    def test_matches_reference_recomputing_every_step_bitwise(
+        self, simulated_problem, monkeypatch, overrides, stored_samples
+    ):
+        sc, op, train, heldout = simulated_problem
+        if stored_samples is not None:
+            per_sample = sc.grid.n * sc.grid.n * sc.detectors.n_s * 8
+            monkeypatch.setattr(training, "CONTRIB_CACHE_BYTES", stored_samples * per_sample)
+        cfg = TrainConfig(epochs=3, **overrides)
+        state = sgd_train(train, heldout, cfg, op)
+        weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op)
+        assert np.array_equal(state.weights.values, weights)
+        assert state.train_losses == train_losses
+        assert state.heldout_losses == heldout_losses
+        assert state.learning_rate == lr
+
+    @pytest.mark.parametrize("epochs", [0, 1, 4])
+    def test_contributions_are_computed_once_per_sample(self, simulated_problem, monkeypatch, epochs):
+        sc, op, train, heldout = simulated_problem
+        calls = []
+        contrib = op.contrib
+
+        def counting(data):
+            calls.append(data)
+            return contrib(data)
+
+        monkeypatch.setattr(op, "contrib", counting)
+        sgd_train(train, heldout, TrainConfig(epochs=epochs), op)
+        assert len(calls) == len(train) + len(heldout)
 
 
 class TestPrescan:
