@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, metrics, training
+from . import __version__, fileio, metrics, training
 from .errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
 from .forward import ForwardOperator, SensorData
 from .phantoms import Image, PhantomParams, generate_phantom
@@ -85,7 +85,14 @@ def cmd_gen_data(args) -> int:
         written.append(out / fileio.Dataset.SCENARIO)
         fileio.atomic_write_bytes(out / fileio.Dataset.SCENARIO, Path(args.scenario).read_bytes())
         written.append(out / fileio.Dataset.MANIFEST)
-        provenance = {"seed": base_seed, "noise": args.noise, "n_angles": op.n_angles, "n_r_per_dt": op.n_r_per_dt}
+        provenance = {
+            "seed": base_seed,
+            "noise": args.noise,
+            "n_angles": op.n_angles,
+            "n_r_per_dt": op.n_r_per_dt,
+            "version": __version__,
+            "numpy": np.__version__,
+        }
         dataset = fileio.Dataset(out, scenario, args.split, stems, provenance)
         dataset.write_manifest()
         dataset.validate()

@@ -267,13 +267,13 @@ class Dataset:
     tag and the ordered sample stems; :meth:`validate` cross-checks it
     against the actual listing.  ``provenance`` holds what produced the
     samples, any of: the effective base seed (sample i is the phantom of
-    seed + i), the relative noise level and the simulator's quadrature
-    (``n_angles``, ``n_r_per_dt``).
+    seed + i), the relative noise level, the simulator's quadrature
+    (``n_angles``, ``n_r_per_dt``) and the package and numpy versions.
     """
 
     MANIFEST = "manifest.txt"
     SCENARIO = "scenario.cfg"
-    PROVENANCE = {"seed": int, "noise": float, "n_angles": int, "n_r_per_dt": int}
+    PROVENANCE = {"seed": int, "noise": float, "n_angles": int, "n_r_per_dt": int, "version": str, "numpy": str}
 
     def __init__(self, root, scenario: Scenario, split: str, stems: list, provenance: dict | None = None):
         self.root = Path(root)
@@ -334,7 +334,7 @@ class Dataset:
 
     def write_manifest(self):
         lines = [f"split={self.split}", f"count={len(self.stems)}", f"scenario={self.SCENARIO}"]
-        lines.extend(f"{key}={value!r}" for key, value in self.provenance.items())
+        lines.extend(f"{key}={value}" for key, value in self.provenance.items())
         lines.extend(self.stems)
         atomic_write_bytes(self.root / self.MANIFEST, ("\n".join(lines) + "\n").encode("ascii"))
 

@@ -10,9 +10,14 @@ angular sample by the cos^2 sensitivity of the receiving detector.
 
 The image is read with bilinear interpolation, zero outside the grid.
 Each image is padded by one zero pixel so the 4-tap stencil needs no
-per-tap mask, and each ray from a detector is clipped to the square
-that stencil can reach: only circle samples that can be nonzero are
-gathered, and each is added into its radial bin.
+per-tap mask.  Each ray from a detector is clipped to the square that
+stencil can reach and to the batch's support disk (the farthest nonzero
+pixel centre plus h*sqrt(2)), and angles of directivity 0 are skipped.
+Every sample left out would add exactly 0 to its radial bin, so the
+sums are bitwise those of gathering the whole square.  The samples are
+gathered in blocks of whole rays of about GATHER_BLOCK samples, each
+added into the bins in order, so the simulator's working memory does not
+grow with the grid or depend on the images' support.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, directivity_
 from .phantoms import Image, bilinear_stencil, sample_bilinear_values, zero_pad
 
 DEFAULT_N_R_PER_DT = 4
+# circle samples gathered at once: about 10 MB of stencil and temporaries
+GATHER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -166,16 +173,28 @@ class ForwardOperator:
         self.omega = circle_nodes(n_angles)
         self.phi = directivity_factors(det.normals, self.omega) if scenario.directivity_enabled else None
 
-    def _samples(self, j: int):
-        """Every circle sample of detector ``j`` that can be nonzero.
+    def _support_radius(self, images) -> float:
+        """Radius outside which every stencil reads only zero pixels of
+        ``images``: the farthest nonzero pixel centre plus h*sqrt(2), the
+        farthest a tap lies from its sample point; -1 if all are zero."""
+        grid = self.scenario.grid
+        dist = np.hypot(grid.axis_x()[None, :], grid.axis_y()[:, None])
+        far = max((dist[img.values != 0].max(initial=-1.0) for img in images), default=-1.0)
+        return far + np.sqrt(2.0) * grid.spacing if far >= 0 else -1.0
+
+    def _sample_blocks(self, j: int, radius: float):
+        """Every circle sample of detector ``j`` that can be nonzero, in
+        blocks of whole rays of about GATHER_BLOCK samples, in angle order.
 
         The ray p_j + r*omega_a meets the square of half-width
         extent + h/2 -- the support of the zero-padded bilinear stencil --
-        in one interval of r, found per angle by the slab method.  Only
-        the radial nodes inside it, widened by one node at each end, are
-        sampled.  Returns their radial node indices and their stencil
-        (indices into the padded image and weights, with the detector's
-        directivity folded in).
+        in one interval of r, found per angle by the slab method, and the
+        disk |x| <= ``radius`` in the chord
+        r^2 + 2r(p_j . omega_a) + |p_j|^2 - radius^2 <= 0.  Only the
+        radial nodes inside both, widened by one node at each end, are
+        sampled; rays that miss the disk or have directivity 0 get none.
+        Yields their radial node indices and their stencil (indices into
+        the padded image and weights, with the directivity folded in).
         """
         grid = self.scenario.grid
         pos = self.scenario.detectors.positions[j]
@@ -183,42 +202,59 @@ class ForwardOperator:
         with np.errstate(divide="ignore", invalid="ignore"):
             t_near = (-half - pos[:, None]) / self.omega.T
             t_far = (half - pos[:, None]) / self.omega.T
-        r_in = np.fmin(t_near, t_far).max(axis=0)
-        r_out = np.fmax(t_near, t_far).min(axis=0)
+        b = self.omega @ pos
+        disc = b * b - pos @ pos + radius * radius
+        chord = np.sqrt(np.maximum(disc, 0.0))
+        r_in = np.maximum(np.fmin(t_near, t_far).max(axis=0), -b - chord)
+        r_out = np.minimum(np.fmax(t_near, t_far).min(axis=0), -b + chord)
 
         dr = self.radii[1]
         n_r = self.radii.shape[0] - 1
         first = np.clip(np.ceil(r_in / dr) - 1, 0, n_r + 1).astype(np.int64)
         last = np.clip(np.floor(r_out / dr) + 1, -1, n_r).astype(np.int64)
         count = np.maximum(last - first + 1, 0)
-
-        # node index of each sample: consecutive along every clipped ray
-        skip = np.cumsum(count) - count - first
-        node = np.arange(count.sum()) - np.repeat(skip, count)
-        r = self.radii[node]
-        x = np.repeat(self.omega[:, 0], count)
-        x *= r
-        x += pos[0]
-        y = np.repeat(self.omega[:, 1], count)
-        y *= r
-        y += pos[1]
-        idx, wts = bilinear_stencil(grid, x, y)
+        # radius**2 of a negative radius is positive, so test its sign too
+        seen = (disc >= 0) & (radius >= 0)
         if self.phi is not None:
-            wts *= np.repeat(self.phi[j], count)
-        return node, idx, wts
+            seen &= self.phi[j] > 0
+        count[~seen] = 0
 
-    def _table(self, samples, padded: np.ndarray) -> np.ndarray:
-        """Radius-weighted directional circular means at every radial
-        node, for one zero-padded flat image."""
-        node, idx, wts = samples
-        vals = np.einsum("qm,qm->m", padded.take(idx), wts)
-        sums = np.bincount(node, weights=vals, minlength=self.radii.shape[0])
+        # rays go to the block their first sample falls in: at most GATHER_BLOCK samples plus one ray
+        offset = np.cumsum(count) - count
+        cuts = np.flatnonzero(np.diff(offset // GATHER_BLOCK)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, self.n_angles]):
+            n = count[lo:hi]
+            # node index of each sample: consecutive along every clipped ray
+            skip = np.cumsum(n) - n - first[lo:hi]
+            node = np.arange(n.sum()) - np.repeat(skip, n)
+            r = self.radii[node]
+            x = np.repeat(self.omega[lo:hi, 0], n)
+            x *= r
+            x += pos[0]
+            y = np.repeat(self.omega[lo:hi, 1], n)
+            y *= r
+            y += pos[1]
+            idx, wts = bilinear_stencil(grid, x, y)
+            if self.phi is not None:
+                wts *= np.repeat(self.phi[j, lo:hi], n)
+            yield node, idx, wts
+
+    def _tables(self, j: int, radius: float, padded) -> np.ndarray:
+        """Radius-weighted directional circular means around detector
+        ``j`` at every radial node, one row per zero-padded flat image.
+
+        Each block's samples are added into their bins in order, the same
+        sequence of additions a single np.bincount of all of them makes."""
+        sums = np.zeros((len(padded), self.radii.shape[0]))
+        for node, idx, wts in self._sample_blocks(j, radius):
+            for k, image in enumerate(padded):
+                np.add.at(sums[k], node, np.einsum("qm,qm->m", image.take(idx), wts))
         return self.radii * sums / self.n_angles
 
     def mean_table(self, img: Image, j: int) -> np.ndarray:
         """Directional circular means of ``img`` around detector ``j`` at
         every radial node, already multiplied by the radius."""
-        return self._table(self._samples(j), zero_pad(img.values))
+        return self._tables(j, self._support_radius([img]), [zero_pad(img.values)])[0]
 
     def simulate(self, img: Image) -> SensorData:
         return self.simulate_batch([img])[0]
@@ -232,13 +268,12 @@ class ForwardOperator:
             if img.grid != grid:
                 raise ShapeMismatchError(f"image grid {img.grid} does not match scenario grid {grid}")
         n_img = len(images)
+        radius = self._support_radius(images)
         padded = [zero_pad(img.values) for img in images]
         out = np.empty((n_img, time.n_t, det.n_s))
         m_table = np.empty((self.radii.shape[0], n_img))
         for j in range(det.n_s):
-            samples = self._samples(j)
-            for k, image in enumerate(padded):
-                m_table[:, k] = self._table(samples, image)
+            m_table[:] = self._tables(j, radius, padded).T
             v = self.abel @ m_table
             out[:, :, j] = time_derivative(v, time.dt).T
         return [SensorData(out[k], time, det) for k in range(n_img)]

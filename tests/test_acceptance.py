@@ -161,6 +161,7 @@ def oracle_waveform(img, scenario, det_index):
     return np.gradient(v, time_grid.dt)
 
 
+@pytest.mark.slow
 def test_2_forward_solver_matches_fine_quadrature_oracle(acceptance_record):
     t0 = time.monotonic()
     worst = 0.0
@@ -223,6 +224,7 @@ def full_view_error(n_s, n_t):
     return rel_error(recon, truth)
 
 
+@pytest.mark.slow
 def test_3_full_view_reconstruction_is_near_exact(acceptance_record):
     base = full_view_error(200, 400)
     doubled = full_view_error(400, 800)
@@ -277,6 +279,7 @@ def test_4_identity_reduction(acceptance_record):
 DESK_SCENARIOS = (("A_limited_view", 40), ("B_sparse", 20), ("C_limited_sparse", 20))
 
 
+@pytest.mark.slow
 def test_5_learned_weights_improve_heldout_error(acceptance_record):
     results = []
     for label, n_s in DESK_SCENARIOS:

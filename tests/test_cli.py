@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import learnedbp
 from learnedbp import fileio
 from learnedbp.cli import main
 from learnedbp.forward import ForwardOperator, SensorData
@@ -193,7 +194,14 @@ def test_gen_data_manifest_rebuilds_the_dataset(tmp_path, cfg_path):
     rc = main(["gen-data", "--scenario", str(cfg_path), "--out", str(out), "--count", "2", "--seed", "900"])
     assert rc == 0
     dataset = fileio.Dataset.open(out)
-    assert dataset.provenance == {"seed": 900, "noise": 0.0, "n_angles": 4 * N, "n_r_per_dt": 4}
+    assert dataset.provenance == {
+        "seed": 900,
+        "noise": 0.0,
+        "n_angles": 4 * N,
+        "n_r_per_dt": 4,
+        "version": learnedbp.__version__,
+        "numpy": np.__version__,
+    }
     op = ForwardOperator(
         dataset.scenario,
         n_angles=dataset.provenance["n_angles"],

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from learnedbp import forward
 from learnedbp.errors import ConfigError, ShapeMismatchError
 from learnedbp.forward import (
     ForwardOperator,
@@ -14,7 +16,14 @@ from learnedbp.forward import (
     time_derivative,
 )
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
-from learnedbp.phantoms import Image, PhantomParams, generate_phantom, sample_bilinear_values
+from learnedbp.phantoms import (
+    Image,
+    PhantomParams,
+    bilinear_stencil,
+    generate_phantom,
+    sample_bilinear_values,
+    zero_pad,
+)
 
 
 def _gaussian_image(grid: ImageGrid, center, sigma: float, amp: float = 1.0) -> Image:
@@ -311,6 +320,177 @@ class TestRayClippedGather:
         assert got.shape == (3, 5, 7)
         for k in range(3):
             np.testing.assert_array_equal(got[k], sample_bilinear_values(stack[k], grid, pts))
+
+
+def _square_samples(op: ForwardOperator, j: int):
+    """ForwardOperator._samples before the support clip: every ray is
+    clipped to the padded square only, blind angles included."""
+    grid = op.scenario.grid
+    pos = op.scenario.detectors.positions[j]
+    half = grid.extent + 0.5 * grid.spacing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_near = (-half - pos[:, None]) / op.omega.T
+        t_far = (half - pos[:, None]) / op.omega.T
+    r_in = np.fmin(t_near, t_far).max(axis=0)
+    r_out = np.fmax(t_near, t_far).min(axis=0)
+
+    dr = op.radii[1]
+    n_r = op.radii.shape[0] - 1
+    first = np.clip(np.ceil(r_in / dr) - 1, 0, n_r + 1).astype(np.int64)
+    last = np.clip(np.floor(r_out / dr) + 1, -1, n_r).astype(np.int64)
+    count = np.maximum(last - first + 1, 0)
+
+    skip = np.cumsum(count) - count - first
+    node = np.arange(count.sum()) - np.repeat(skip, count)
+    r = op.radii[node]
+    x = np.repeat(op.omega[:, 0], count)
+    x *= r
+    x += pos[0]
+    y = np.repeat(op.omega[:, 1], count)
+    y *= r
+    y += pos[1]
+    idx, wts = bilinear_stencil(grid, x, y)
+    if op.phi is not None:
+        wts *= np.repeat(op.phi[j], count)
+    return node, idx, wts
+
+
+def _square_simulate(op: ForwardOperator, images) -> list:
+    """ForwardOperator.simulate_batch before the support clip."""
+    sc = op.scenario
+    det, time = sc.detectors, sc.time
+    padded = [zero_pad(img.values) for img in images]
+    out = np.empty((len(images), time.n_t, det.n_s))
+    m_table = np.empty((op.radii.shape[0], len(images)))
+    for j in range(det.n_s):
+        node, idx, wts = _square_samples(op, j)
+        for k, image in enumerate(padded):
+            vals = np.einsum("qm,qm->m", image.take(idx), wts)
+            m_table[:, k] = op.radii * np.bincount(node, weights=vals, minlength=op.radii.shape[0]) / op.n_angles
+        out[:, :, j] = time_derivative(op.abel @ m_table, time.dt).T
+    return list(out)
+
+
+def _n_samples(op: ForwardOperator, j: int, radius: float) -> int:
+    return sum(node.size for node, _, _ in op._sample_blocks(j, radius))
+
+
+def _one_pixel(grid: ImageGrid, i: int, j: int, value: float = 1.0) -> Image:
+    values = np.zeros((grid.n, grid.n))
+    values[i, j] = value
+    return Image(grid, values)
+
+
+def _compact_blob(grid: ImageGrid, center, sigma: float) -> Image:
+    """A Gaussian cut to exactly zero beyond four standard deviations."""
+    img = _gaussian_image(grid, center, sigma)
+    pts = grid.pixel_centers()
+    far = np.hypot(pts[:, :, 0] - center[0], pts[:, :, 1] - center[1]) > 4.0 * sigma
+    return Image(grid, np.where(far, 0.0, img.values))
+
+
+class TestSupportClip:
+    """simulate_batch must be bitwise equal to the square-only gather."""
+
+    @staticmethod
+    def _assert_bitwise(op, images):
+        got = [d.values for d in op.simulate_batch(images)]
+        want = _square_simulate(op, images)
+        assert len(got) == len(want) == len(images)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+        return got
+
+    @staticmethod
+    def _assert_matches_oracle(op, images, got):
+        for g, want in zip(got, _oracle_simulate(op, images)):
+            np.testing.assert_allclose(g, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("directivity", [True, False])
+    @pytest.mark.parametrize("label", ["A_limited_view", "B_sparse", "C_limited_sparse"])
+    def test_phantoms(self, label, directivity):
+        sc = dataclasses.replace(make_scenario(label, n=32, n_t=100), directivity_enabled=directivity)
+        op = ForwardOperator(sc)
+        images = [generate_phantom(PhantomParams(seed=s), sc.grid) for s in (21, 22)]
+        got = self._assert_bitwise(op, images)
+        self._assert_matches_oracle(op, images, got)
+
+    @pytest.mark.parametrize("pixel", [(16, 16), (16, 0), (31, 31)], ids=["centre", "edge", "corner"])
+    def test_single_pixel(self, pixel):
+        sc = make_scenario("B_sparse", n=32, n_t=100)
+        op = ForwardOperator(sc)
+        images = [_one_pixel(sc.grid, *pixel, value=-2.5)]
+        got = self._assert_bitwise(op, images)
+        assert np.abs(got[0]).max() > 0.0
+        self._assert_matches_oracle(op, images, got)
+
+    def test_off_centre_blob(self):
+        sc = make_scenario("A_limited_view", n=32, n_t=100)
+        op = ForwardOperator(sc)
+        images = [_compact_blob(sc.grid, (0.35, -0.25), 0.06)]
+        got = self._assert_bitwise(op, images)
+        self._assert_matches_oracle(op, images, got)
+
+    def test_compact_and_full_square_in_one_batch(self):
+        sc = make_scenario("C_limited_sparse", n=32, n_t=100)
+        op = ForwardOperator(sc)
+        rng = np.random.default_rng(5)
+        self._assert_bitwise(op, [_one_pixel(sc.grid, 15, 17), Image(sc.grid, rng.random((32, 32)))])
+
+    def test_all_zero_image(self):
+        sc = make_scenario("B_sparse", n=32, n_t=100)
+        op = ForwardOperator(sc)
+        zero = Image(sc.grid, np.zeros((32, 32)))
+        got = self._assert_bitwise(op, [zero])
+        assert np.array_equal(got[0], np.zeros((sc.time.n_t, sc.detectors.n_s)))
+        # no support at all: not even the disk a negative radius squares to
+        radius = op._support_radius([zero])
+        assert all(_n_samples(op, j, radius) == 0 for j in range(sc.detectors.n_s))
+
+    def test_empty_batch(self):
+        assert ForwardOperator(make_scenario("B_sparse", n=32, n_t=100)).simulate_batch([]) == []
+
+    @pytest.mark.parametrize("block", [1, 97, 5000])
+    def test_small_gather_blocks(self, monkeypatch, block):
+        # blocks of one ray, of a few rays and of the whole detector give the same bits
+        monkeypatch.setattr(forward, "GATHER_BLOCK", block)
+        sc = make_scenario("A_limited_view", n=32, n_t=100)
+        op = ForwardOperator(sc)
+        rng = np.random.default_rng(6)
+        images = [generate_phantom(PhantomParams(seed=23), sc.grid), Image(sc.grid, rng.random((32, 32)))]
+        self._assert_bitwise(op, images)
+
+    def test_blocks_hold_whole_rays_up_to_the_block_size(self, monkeypatch):
+        monkeypatch.setattr(forward, "GATHER_BLOCK", 500)
+        # full support and no blind angles, so every ray is the square gather's
+        sc = dataclasses.replace(make_scenario("B_sparse", n=32, n_t=100), directivity_enabled=False)
+        op = ForwardOperator(sc)
+        radius = op._support_radius([Image(sc.grid, np.ones((32, 32)))])
+        longest = op.radii.shape[0]
+        for j in range(sc.detectors.n_s):
+            nodes = [node for node, _, _ in op._sample_blocks(j, radius)]
+            assert len(nodes) > 1
+            assert all(node.size <= 500 + longest for node in nodes)
+            np.testing.assert_array_equal(np.concatenate(nodes), _square_samples(op, j)[0])
+
+    @pytest.mark.parametrize("directivity", [True, False])
+    def test_every_detector_gathers_fewer_samples(self, directivity):
+        # with directivity off only the disk clip can shrink the sets
+        sc = dataclasses.replace(make_scenario("A_limited_view", n=32, n_t=100), directivity_enabled=directivity)
+        op = ForwardOperator(sc)
+        img = generate_phantom(PhantomParams(seed=21), sc.grid)
+        radius = op._support_radius([img])
+        for j in range(sc.detectors.n_s):
+            assert _n_samples(op, j, radius) < _square_samples(op, j)[0].size
+
+    def test_blind_angles_get_no_samples(self):
+        sc = make_scenario("A_limited_view", n=32, n_t=100)
+        on = ForwardOperator(sc)
+        off = ForwardOperator(dataclasses.replace(sc, directivity_enabled=False))
+        # a full-square support, so that only the directivity differs
+        radius = on._support_radius([Image(sc.grid, np.ones((32, 32)))])
+        for j in range(sc.detectors.n_s):
+            assert _n_samples(on, j, radius) < _n_samples(off, j, radius)
 
 
 class TestDirectivityInSimulation:

@@ -398,6 +398,17 @@ class TestDataset:
         Dataset(tmp_path, sc, "train", [Dataset.stem(k) for k in range(2)], provenance).write_manifest()
         assert Dataset.open(tmp_path).provenance == provenance
 
+    def test_versions_roundtrip(self, tmp_path):
+        sc, _ = _make_dataset(tmp_path, count=1)
+        provenance = {"seed": 3, "version": "0.1.0", "numpy": "2.1.3rc1"}
+        Dataset(tmp_path, sc, "train", [Dataset.stem(0)], provenance).write_manifest()
+        assert "numpy=2.1.3rc1\n" in (tmp_path / Dataset.MANIFEST).read_text()
+        assert Dataset.open(tmp_path).provenance == provenance
+
+    def test_manifest_without_provenance_opens(self, tmp_path):
+        _make_dataset(tmp_path, count=1)
+        assert Dataset.open(tmp_path).provenance == {}
+
     def test_bad_provenance_value_detected(self, tmp_path):
         _make_dataset(tmp_path, count=1)
         manifest = tmp_path / Dataset.MANIFEST
