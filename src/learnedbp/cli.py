@@ -8,6 +8,9 @@ error, 4 training divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -61,6 +64,10 @@ def _load_weights(path, scenario) -> WeightTensor:
     return WeightTensor(values, scenario.grid)
 
 
+def _file_hashes(root: Path, names) -> dict:
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
+
+
 def cmd_gen_data(args) -> int:
     scenario, cfg_seed = _resolve_scenario(args)
     base_seed = args.seed if args.seed is not None else (cfg_seed if cfg_seed is not None else 0)
@@ -107,7 +114,10 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     train_set = fileio.Dataset.open(args.data)
     scenario, _ = _resolve_scenario(args, dataset=train_set)
-    heldout_pairs = fileio.Dataset.open(args.heldout).pairs() if args.heldout else []
+    datasets = {"train": train_set}
+    if args.heldout:
+        datasets["heldout"] = fileio.Dataset.open(args.heldout)
+    heldout_pairs = datasets["heldout"].pairs() if args.heldout else []
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -122,7 +132,10 @@ def cmd_train(args) -> int:
         weight_grid=args.weight_grid,
     )
     log_path = out / "train.log"
-    log_path.unlink(missing_ok=True)  # a re-run into the same directory starts a fresh log
+    run_path = out / "run.json"
+    # a re-run into the same directory starts a fresh log and record
+    log_path.unlink(missing_ok=True)
+    run_path.unlink(missing_ok=True)
 
     def checkpoint(epoch, weights):
         fileio.write_patb(out / f"weights_epoch{epoch:04d}.patb", weights.values)
@@ -140,6 +153,18 @@ def cmd_train(args) -> int:
         log=log,
         weight_reader=fileio.read_patb,
     )
+    if state.epoch:  # like train.log, the record describes epochs that ran
+        run = {
+            "config": dataclasses.asdict(cfg),
+            "learning_rate": state.learning_rate,
+            "epochs": state.epoch,
+            "train_loss": state.train_losses[-1],
+            "heldout_loss": state.heldout_losses[-1] if heldout_pairs else None,
+            "datasets": {role: _file_hashes(ds.root, (ds.MANIFEST, ds.SCENARIO)) for role, ds in datasets.items()},
+            "version": __version__,
+            "numpy": np.__version__,
+        }
+        fileio.atomic_write_bytes(run_path, (json.dumps(run, indent=2) + "\n").encode("ascii"))
     print(f"trained {state.epoch} epochs, lr={state.learning_rate!r}, checkpoints in {out}")
     if heldout_pairs and state.heldout_losses:
         print(f"final held-out loss {state.heldout_losses[-1]!r}")

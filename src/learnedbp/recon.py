@@ -13,6 +13,12 @@ t -> d endpoint needs no regularization.  For speed, I(d) is tabulated
 per detector on a dense distance grid and read back by linear
 interpolation; an exact mode computes the closed-form quadrature at
 every pixel distance instead.
+
+Contributions are computed in blocks of PIXEL_BLOCK pixels, in both
+modes.  In table mode each block reads the table and its node-to-node
+steps with one flat gather per array, at offsets idx * n_s + j.  The
+weighted sum reduces each block as it is made, so a reconstruction holds
+one block of temporaries, never the whole (n^2, n_s) contributions.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from .geometry import DetectorArray, ImageGrid, Scenario, TimeGrid
 from .phantoms import Image
 
 TABLE_NODES_PER_DT = 4
-_EXACT_PIXEL_CHUNK = 8192
+# pixels per block of contributions: about 0.7 MB per temporary at 20 detectors
+PIXEL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -151,6 +158,11 @@ class BackprojectionOperator:
     integral quadrature matrix and the table-lookup indices) is built
     once here, so training loops and batch evaluations pay only two small
     matrix products per sample.
+
+    Contributions come from one generator, :meth:`_contrib_blocks`, in
+    blocks of PIXEL_BLOCK pixels; exact mode goes through the same blocks.
+    :meth:`contrib` writes the blocks into one tensor, while :meth:`apply`
+    reduces each block as it comes and never holds the whole of b.
     """
 
     def __init__(
@@ -205,31 +217,55 @@ class BackprojectionOperator:
         if abs(data.time.t_final - self.time.t_final) > 1e-12 * self.time.t_final:
             raise ShapeMismatchError("data time window does not match operator")
 
-    def contrib(self, data: SensorData) -> ContribTensor:
-        """Per-detector contributions b(x, s_j) for one data matrix."""
+    def _contrib_blocks(self, data: SensorData):
+        """Yield (pixel slice, b) for PIXEL_BLOCK pixels at a time, where b
+        holds those pixels' rows of the flattened (n^2, n_s) contributions."""
         self._check(data)
         q = time_filter(data, self.sound_speed)
-        n = self.grid.n
-        if self.exact:
-            integral = np.empty_like(self.dist)
-            for start in range(0, self.dist.shape[0], _EXACT_PIXEL_CHUNK):
-                stop = min(start + _EXACT_PIXEL_CHUNK, self.dist.shape[0])
-                for j in range(self.detectors.n_s):
-                    a_mat = integral_weights(self.dist[start:stop, j], self.time, self.sound_speed)
-                    integral[start:stop, j] = a_mat @ q[:, j]
-        else:
-            # lo + frac * (hi - lo), in place to spare the large temporaries
+        n_s = self.detectors.n_s
+        if not self.exact:
             table = self._table_matrix @ q
-            lo = np.take_along_axis(table, self._idx, axis=0)
-            integral = np.take_along_axis(table[1:], self._idx, axis=0)
-            integral -= lo
-            integral *= self._frac
-            integral += lo
-        integral *= self.geom
-        return ContribTensor(integral.reshape(n, n, self.detectors.n_s), self.grid)
+            step = table[1:] - table[:-1]
+            columns = np.arange(n_s)
+        for start in range(0, self.dist.shape[0], PIXEL_BLOCK):
+            span = slice(start, start + PIXEL_BLOCK)
+            if self.exact:
+                b = np.empty_like(self.dist[span])
+                for j in range(n_s):
+                    # a row-wise sum, not BLAS gemv, whose last bits depend
+                    # on the row count and the thread split
+                    a_mat = integral_weights(self.dist[span, j], self.time, self.sound_speed)
+                    a_mat *= q[:, j]
+                    b[:, j] = a_mat.sum(axis=1)
+            else:
+                # table[idx] + frac * (table[idx + 1] - table[idx]), gathered
+                # by flat offsets into the row-major (n_d, n_s) arrays
+                flat = self._idx[span] * n_s
+                flat += columns
+                b = step.take(flat)
+                b *= self._frac[span]
+                b += table.take(flat)
+            b *= self.geom[span]
+            if not np.all(np.isfinite(b)):
+                raise ShapeMismatchError("contributions must be finite")
+            yield span, b
+
+    def contrib(self, data: SensorData) -> ContribTensor:
+        """Per-detector contributions b(x, s_j) for one data matrix."""
+        n, n_s = self.grid.n, self.detectors.n_s
+        values = np.empty((n * n, n_s))
+        for span, b in self._contrib_blocks(data):
+            values[span] = b
+        return ContribTensor(values.reshape(n, n, n_s), self.grid)
 
     def apply(self, weights: WeightTensor, data: SensorData) -> Image:
-        return self.apply_to_contrib(weights, self.contrib(data))
+        """sum_j W^2 b for one data matrix, reduced block by block."""
+        self.check_weights(weights)
+        w = weights.values.reshape(-1, self.detectors.n_s)
+        image = np.empty(w.shape[0])
+        for span, b in self._contrib_blocks(data):
+            image[span] = self.apply_values(w[span], b)
+        return Image(self.grid, image.reshape(self.grid.n, self.grid.n))
 
     @staticmethod
     def apply_values(w_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
@@ -242,7 +278,7 @@ class BackprojectionOperator:
         """
         prod = np.square(w_values)
         prod *= b_values
-        return prod.sum(axis=2)
+        return prod.sum(axis=-1)
 
     def check_weights(self, weights: WeightTensor):
         if weights.grid != self.grid or weights.n_s != self.detectors.n_s:

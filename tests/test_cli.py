@@ -5,6 +5,9 @@ stdout/stderr can be asserted directly.  Exit code contract: 0 success,
 1 usage error, 2 data/shape/format error, 3 I/O error, 4 divergence.
 """
 
+import dataclasses
+import hashlib
+import json
 import subprocess
 import sys
 
@@ -18,6 +21,7 @@ from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import make_scenario
 from learnedbp.phantoms import PhantomParams, generate_phantom
 from learnedbp.recon import BackprojectionOperator, WeightTensor
+from learnedbp.training import TrainConfig
 
 # Small enough to run every command in well under a second, large enough
 # to clear the phantom generator's minimum grid size.
@@ -299,6 +303,31 @@ def test_train_rerun_into_same_directory_starts_a_fresh_log(tmp_path, train_dir)
     second = read_lines(tmp_path / "run" / "train.log")
     assert len(second) == 2
     assert strip_wall_column(second) == strip_wall_column(first)
+
+
+def test_train_run_json_records_the_run(tmp_path, train_dir, test_dir):
+    out = tmp_path / "run"
+    args = ["train", "--data", str(train_dir), "--heldout", str(test_dir), "--out", str(out), "--epochs", "2"]
+    assert main(args) == 0
+    assert main(args) == 0
+    run = json.loads((out / "run.json").read_text())
+    epoch, train_loss, heldout_loss, lr, _ = read_lines(out / "train.log")[-1].split(", ")
+    assert run["epochs"] == int(epoch) == 2
+    assert run["learning_rate"] == float(lr)
+    assert run["train_loss"] == float(train_loss)
+    assert run["heldout_loss"] == float(heldout_loss)
+    assert run["config"] == dataclasses.asdict(TrainConfig(epochs=2))
+    for role, root in (("train", train_dir), ("heldout", test_dir)):
+        assert run["datasets"][role] == {
+            name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in ("manifest.txt", "scenario.cfg")
+        }
+    assert (run["version"], run["numpy"]) == (learnedbp.__version__, np.__version__)
+
+    assert main(["train", "--data", str(train_dir), "--out", str(out), "--epochs", "1", "--lr", "1e-4"]) == 0
+    run = json.loads((out / "run.json").read_text())
+    assert run["heldout_loss"] is None
+    assert list(run["datasets"]) == ["train"]
+    assert run["learning_rate"] == 1e-4
 
 
 def strip_wall_column(lines):

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from learnedbp import recon
 from learnedbp.errors import ConfigError, ShapeMismatchError
 from learnedbp.forward import ForwardOperator, SensorData
-from learnedbp.geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, make_detectors
+from learnedbp.geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
 from learnedbp.phantoms import Image
 from learnedbp.recon import (
     BackprojectionOperator,
@@ -230,9 +232,27 @@ class TestBackprojection:
         sc = _scenario(n_s=4)
         op = BackprojectionOperator.from_scenario(sc)
         data = _smooth_data(sc, seed=10)
-        wrong = WeightTensor(np.ones((sc.grid.n, sc.grid.n, 3)), sc.grid)
-        with pytest.raises(ShapeMismatchError):
-            op.apply(wrong, data)
+        overflowing = SensorData(np.full(data.values.shape, 1e307), sc.time, sc.detectors)
+        for n, n_s in ((sc.grid.n, 3), (16, 4)):
+            wrong = WeightTensor(np.ones((n, n, n_s)), ImageGrid(n=n))
+            with pytest.raises(ShapeMismatchError, match="do not match operator"):
+                op.apply(wrong, data)
+            # the weights are checked before any contribution is computed
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ShapeMismatchError, match="do not match operator"):
+                    op.apply(wrong, overflowing)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_overflowing_data_is_rejected(self, exact):
+        # 1e307 is finite, but its filtered trace is not
+        sc = _scenario(n=12, n_s=3, n_t=30)
+        op = BackprojectionOperator.from_scenario(sc, exact=exact)
+        data = SensorData(np.full((30, 3), 1e307), sc.time, sc.detectors)
+        weights = WeightTensor.ones(sc.grid, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (lambda: op.contrib(data), lambda: op.apply(weights, data), lambda: op.standard(data)):
+                with pytest.raises(ShapeMismatchError, match="contributions must be finite"):
+                    call()
 
     def test_module_level_wrappers(self):
         sc = _scenario(n=16, n_s=4, n_t=40)
@@ -243,6 +263,41 @@ class TestBackprojection:
         w = WeightTensor.ones(sc.grid, 4)
         img = weighted_ubp(w, data)
         assert np.array_equal(img.values, op.apply(w, data).values)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+class TestPixelBlocks:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, exact):
+        # n^2 = 4489 exceeds the default block and is not a multiple of 7
+        n, n_s = 67, 3
+        sc = _scenario(n=n, n_s=n_s, n_t=40)
+        op = BackprojectionOperator.from_scenario(sc, exact=exact)
+        data = _smooth_data(sc, seed=13)
+        weights = WeightTensor(np.random.default_rng(14).uniform(0.5, 1.5, (n, n, n_s)), sc.grid)
+        b = op.contrib(data)
+        image = op.apply(weights, data).values
+        assert np.array_equal(_bits(image), _bits(op.apply_to_contrib(weights, b).values))
+        for block in (1, 7, n * n + 1):
+            monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+            assert np.array_equal(_bits(op.contrib(data).values), _bits(b.values))
+            assert np.array_equal(_bits(op.apply(weights, data).values), _bits(image))
+
+    def test_apply_holds_less_than_one_contribution_tensor(self):
+        sc = make_scenario("B_sparse", n=256, n_s=20, n_t=400)
+        op = BackprojectionOperator.from_scenario(sc)
+        data = _smooth_data(sc, seed=15)
+        weights = WeightTensor.ones(sc.grid, 20)
+        tracemalloc.start()
+        try:
+            op.apply(weights, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 256 * 20 * 8
 
 
 class TestRoundTripAccuracy:
