@@ -15,7 +15,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fileio import Dataset, load_scenario_cfg, read_patb, read_pgm, save_scenario_cfg, write_patb, write_pgm
-from .forward import ForwardOperator, SensorData, circular_mean, simulate
+from .forward import ForwardOperator, SensorData, circular_mean
 from .geometry import (
     DetectorArray,
     ImageGrid,
@@ -27,15 +27,7 @@ from .geometry import (
 )
 from .metrics import EvalReport, diff_image, evaluate, rel_error
 from .phantoms import Image, PhantomParams, elastic_deform, generate_phantom, rasterize_ellipses
-from .recon import (
-    BackprojectionOperator,
-    ContribTensor,
-    WeightTensor,
-    backproject_contrib,
-    singular_integral,
-    time_filter,
-    weighted_ubp,
-)
+from .recon import BackprojectionOperator, ContribTensor, WeightTensor, time_filter
 from .training import TrainConfig, TrainState, grad, loss, sgd_train
 
 __version__ = "0.1.0"
@@ -61,7 +53,6 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "WeightTensor",
-    "backproject_contrib",
     "circular_mean",
     "diff_image",
     "directivity",
@@ -79,10 +70,7 @@ __all__ = [
     "rel_error",
     "save_scenario_cfg",
     "sgd_train",
-    "simulate",
-    "singular_integral",
     "time_filter",
-    "weighted_ubp",
     "write_patb",
     "write_pgm",
 ]

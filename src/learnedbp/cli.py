@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, fileio, metrics, training
 from .errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
-from .forward import ForwardOperator, SensorData
+from .forward import DEFAULT_N_R_PER_DT, ForwardOperator, SensorData
 from .phantoms import Image, PhantomParams, generate_phantom
 from .recon import BackprojectionOperator, WeightTensor
 
@@ -86,8 +86,7 @@ def cmd_gen_data(args) -> int:
                 scale = args.noise * np.abs(data.values).max()
                 noisy = data.values + rng.normal(0.0, scale, data.values.shape)
                 data = SensorData(noisy, scenario.time, scenario.detectors)
-            written.append(out / f"phantom_{i:05d}.patb")
-            written.append(out / f"data_{i:05d}.patb")
+            written.extend(fileio.Dataset.sample_paths(out, stems[i]))
             fileio.write_sample(out, i, phantom, data)
         written.append(out / fileio.Dataset.SCENARIO)
         fileio.atomic_write_bytes(out / fileio.Dataset.SCENARIO, Path(args.scenario).read_bytes())
@@ -236,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), default="train")
     p.add_argument("--noise", type=float, default=0.0, help="relative Gaussian noise level")
     p.add_argument("--n-angles", type=int, default=None, help="angular quadrature nodes")
-    p.add_argument("--n-r-per-dt", type=int, default=4, help="radial nodes per time step")
+    p.add_argument("--n-r-per-dt", type=int, default=DEFAULT_N_R_PER_DT, help="radial nodes per time step")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="learn backprojection weights by SGD")

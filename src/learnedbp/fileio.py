@@ -13,7 +13,6 @@ half-written file under the final name.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from pathlib import Path
@@ -22,14 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeMismatchError
 from .forward import SensorData
-from .geometry import (
-    _DEFAULT_N_S,
-    DetectorArray,
-    ImageGrid,
-    Scenario,
-    TimeGrid,
-    make_detectors,
-)
+from .geometry import HALF_CIRCLE_END, HALF_CIRCLE_START, Scenario, make_scenario
 from .phantoms import Image
 
 PATB_MAGIC = b"PATB"
@@ -151,21 +143,6 @@ def read_pgm(path) -> np.ndarray:
     return values
 
 
-_CANONICAL_KEYS = (
-    "label",
-    "n_x",
-    "extent",
-    "n_s",
-    "radius",
-    "n_t",
-    "t_final",
-    "directivity",
-    "sound_speed",
-    "seed",
-)
-_CUSTOM_KEYS = ("arc_start", "arc_end")
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "on", "yes"):
@@ -175,11 +152,29 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse boolean value {text!r}")
 
 
+# scenario-file key -> (name it goes by, parser); make_scenario holds the defaults
+_SCENARIO_KEYS = {
+    "n_x": ("n", int),
+    "extent": ("extent", float),
+    "n_s": ("n_s", int),
+    "radius": ("radius", float),
+    "n_t": ("n_t", int),
+    "t_final": ("t_final", float),
+    "sound_speed": ("sound_speed", float),
+    "arc_start": ("arc_start", float),
+    "arc_end": ("arc_end", float),
+    "seed": ("seed", int),
+    "directivity": ("directivity_enabled", _parse_bool),
+}
+_CUSTOM_KEYS = ("arc_start", "arc_end")
+
+
 def load_scenario_cfg(path):
     """Parse a key=value scenario file; returns (Scenario, seed or None).
 
     Lines starting with '#' (and blank lines) are ignored.  Unknown keys
-    are rejected so typos do not silently fall back to defaults.
+    are rejected so typos do not silently fall back to defaults; keys
+    left out take the defaults of :func:`make_scenario`.
     """
     entries = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -197,38 +192,20 @@ def load_scenario_cfg(path):
     label = entries.pop("label", None)
     if label is None:
         raise ConfigError(f"{path}: missing required key 'label'")
-    allowed = set(_CANONICAL_KEYS)
-    if label == "custom":
-        allowed |= set(_CUSTOM_KEYS)
+    allowed = set(_SCENARIO_KEYS)
+    if label != "custom":
+        allowed -= set(_CUSTOM_KEYS)
     unknown = set(entries) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
 
     try:
-        n = int(entries.get("n_x", 256))
-        extent = float(entries.get("extent", 1.0))
-        n_s = int(entries.get("n_s", _DEFAULT_N_S.get(label, 100)))
-        radius = float(entries.get("radius", 1.0))
-        n_t = int(entries.get("n_t", 400))
-        t_final = float(entries.get("t_final", 3.0))
-        sound_speed = float(entries.get("sound_speed", 1.0))
-        arc_start = float(entries.get("arc_start", math.pi / 2))
-        arc_end = float(entries.get("arc_end", 3 * math.pi / 2))
-        seed = int(entries["seed"]) if "seed" in entries else None
+        args = {name: parse(entries[key]) for key, (name, parse) in _SCENARIO_KEYS.items() if key in entries}
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    directivity = _parse_bool(entries.get("directivity", "true"))
-
-    detectors = make_detectors(label, n_s, radius, arc_start, arc_end)
-    scenario = Scenario(
-        grid=ImageGrid(n=n, extent=extent),
-        detectors=detectors,
-        time=TimeGrid(n_t=n_t, t_final=t_final),
-        directivity_enabled=directivity,
-        sound_speed=sound_speed,
-        label=label,
-    )
-    return scenario, seed
+    seed = args.pop("seed", None)
+    args["arc"] = (args.pop("arc_start", HALF_CIRCLE_START), args.pop("arc_end", HALF_CIRCLE_END))
+    return make_scenario(label, **args), seed
 
 
 def save_scenario_cfg(path, scenario: Scenario, seed: int | None = None, arc=None):
@@ -289,6 +266,12 @@ class Dataset:
     def stem(index: int) -> str:
         return f"phantom_{index:05d}"
 
+    @staticmethod
+    def sample_paths(root, stem: str) -> tuple[Path, Path]:
+        """The phantom and data files of the sample ``stem`` under ``root``."""
+        root = Path(root)
+        return root / f"{stem}.patb", root / f"{stem.replace('phantom', 'data')}.patb"
+
     @classmethod
     def open(cls, root) -> "Dataset":
         root = Path(root)
@@ -328,9 +311,9 @@ class Dataset:
         if self.stems != sorted(self.stems):
             raise ConfigError(f"{self.root}: manifest stems out of order")
         for stem in self.stems:
-            for name in (f"{stem}.patb", f"{stem.replace('phantom', 'data')}.patb"):
-                if not (self.root / name).is_file():
-                    raise FileNotFoundError(self.root / name)
+            for path in self.sample_paths(self.root, stem):
+                if not path.is_file():
+                    raise FileNotFoundError(path)
 
     def write_manifest(self):
         lines = [f"split={self.split}", f"count={len(self.stems)}", f"scenario={self.SCENARIO}"]
@@ -340,9 +323,9 @@ class Dataset:
 
     def load_pair(self, index: int):
         """(SensorData, Image) for one sample, validated against the scenario."""
-        stem = self.stems[index]
-        phantom = read_patb(self.root / f"{stem}.patb")
-        data = read_patb(self.root / f"{stem.replace('phantom', 'data')}.patb")
+        phantom_path, data_path = self.sample_paths(self.root, self.stems[index])
+        phantom = read_patb(phantom_path)
+        data = read_patb(data_path)
         image = Image(self.scenario.grid, phantom)
         sensor = SensorData(data, self.scenario.time, self.scenario.detectors)
         return sensor, image
@@ -353,6 +336,6 @@ class Dataset:
 
 def write_sample(root, index: int, phantom: Image, data: SensorData):
     """Write one phantom/data pair; each file lands atomically."""
-    root = Path(root)
-    write_patb(root / f"phantom_{index:05d}.patb", phantom.values)
-    write_patb(root / f"data_{index:05d}.patb", data.values)
+    phantom_path, data_path = Dataset.sample_paths(root, Dataset.stem(index))
+    write_patb(phantom_path, phantom.values)
+    write_patb(data_path, data.values)

@@ -278,16 +278,3 @@ class ForwardOperator:
             out[:, :, j] = time_derivative(v, time.dt).T
         return [SensorData(out[k], time, det) for k in range(n_img)]
 
-
-def simulate(
-    img: Image,
-    scenario: Scenario,
-    n_angles: int | None = None,
-    n_r_per_dt: int = DEFAULT_N_R_PER_DT,
-) -> SensorData:
-    """Simulate the sensor data of ``img`` under ``scenario``.
-
-    Convenience wrapper that builds a :class:`ForwardOperator` for a single
-    use; build the operator directly when simulating many images.
-    """
-    return ForwardOperator(scenario, n_angles=n_angles, n_r_per_dt=n_r_per_dt).simulate(img)

@@ -258,7 +258,7 @@ class Scenario:
         )
 
 
-# default detector counts for the three canonical arrangements
+# default detector counts for the three canonical arrangements; custom arcs get 100
 _DEFAULT_N_S = {"A_limited_view": 100, "B_sparse": 20, "C_limited_sparse": 20}
 
 
@@ -272,15 +272,18 @@ def make_scenario(
     radius: float = 1.0,
     directivity_enabled: bool = True,
     sound_speed: float = 1.0,
+    arc: tuple[float, float] = (HALF_CIRCLE_START, HALF_CIRCLE_END),
 ) -> Scenario:
-    """Build one of the canonical scenarios with standard defaults."""
-    if label not in _DEFAULT_N_S:
-        raise ConfigError(f"make_scenario handles canonical labels only, got {label!r}")
+    """Build a scenario with standard defaults; the one table of them.
+
+    ``arc`` = (start, end) in radians is the detector arc of ``custom``
+    scenarios and is ignored by the canonical labels.
+    """
     if n_s is None:
-        n_s = _DEFAULT_N_S[label]
+        n_s = _DEFAULT_N_S.get(label, 100)
     return Scenario(
         grid=ImageGrid(n=n, extent=extent),
-        detectors=make_detectors(label, n_s, radius),
+        detectors=make_detectors(label, n_s, radius, *arc),
         time=TimeGrid(n_t=n_t, t_final=t_final),
         directivity_enabled=directivity_enabled,
         sound_speed=sound_speed,

@@ -210,15 +210,6 @@ def elastic_deform(img: Image, seed: int, alpha: float, sigma: float) -> Image:
     return Image(img.grid, _deform_values(img.values, seed, alpha, sigma))
 
 
-def sample_bilinear(img: Image, points: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of ``img`` at (x, y) ``points`` ((..., 2)).
-
-    Values are interpolated between the four surrounding pixel centers and
-    read as zero outside the grid.
-    """
-    return sample_bilinear_values(img.values, img.grid, points)
-
-
 def zero_pad(values: np.ndarray) -> np.ndarray:
     """Images (..., n, n) padded by one zero pixel on every side and
     flattened to (..., (n+2)**2), the layout :func:`bilinear_stencil`

@@ -136,28 +136,16 @@ def integral_weights(d: np.ndarray, time: TimeGrid, sound_speed: float = 1.0) ->
     return weights
 
 
-def singular_integral(q_col: np.ndarray, d: float, time: TimeGrid, sound_speed: float = 1.0) -> float:
-    """integral_d^T q(t)/sqrt(t^2-d^2) dt for one filtered trace.
-
-    Returns 0 for d >= T (empty interval).  See :func:`integral_weights`
-    for the quadrature.
-    """
-    if d <= 0:
-        raise ConfigError("distance must be positive")
-    q_col = np.asarray(q_col, dtype=np.float64)
-    if q_col.shape != (time.n_t,):
-        raise ShapeMismatchError(f"expected {time.n_t} samples, got shape {q_col.shape}")
-    return float(integral_weights(np.array([d]), time, sound_speed)[0] @ q_col)
-
-
 class BackprojectionOperator:
     """Backprojection machinery precomputed for one acquisition geometry.
 
-    Everything that does not depend on the measured data (pixel-detector
-    distances, the geometric factor (1/pi) <nu, x-s> ds, the singular
-    integral quadrature matrix and the table-lookup indices) is built
-    once here, so training loops and batch evaluations pay only two small
-    matrix products per sample.
+    Everything that does not depend on the measured data (the geometric
+    factor (1/pi) <nu, x-s> ds, the singular integral quadrature matrix
+    and the table-lookup indices) is built once here, so training loops
+    and batch evaluations pay only two small matrix products per sample.
+    The pixel-detector distances are kept only in exact mode, which
+    evaluates the quadrature at each of them; table mode keeps their
+    lookup indices and fractions instead.
 
     Contributions come from one generator, :meth:`_contrib_blocks`, in
     blocks of PIXEL_BLOCK pixels; exact mode goes through the same blocks.
@@ -183,24 +171,25 @@ class BackprojectionOperator:
 
         pixels = grid.pixel_centers().reshape(-1, 2)
         diff = pixels[:, None, :] - detectors.positions[None, :, :]
-        self.dist = np.sqrt((diff**2).sum(axis=2))
-        if np.any(self.dist == 0.0):
+        dist = np.sqrt((diff**2).sum(axis=2))
+        if np.any(dist == 0.0):
             raise ConfigError("a pixel center coincides with a detector position")
-        self.tau_max = sound_speed * time.samples()[-1]
+        tau_max = sound_speed * time.samples()[-1]
         outward_dot = np.einsum("psk,sk->ps", diff, detectors.normals)
         # the 1/pi constant makes the unweighted sum an exact inversion of
         # the forward solution formula on dense full-view data (verified
         # against a high-precision radial quadrature oracle)
         self.geom = (1.0 / np.pi) * outward_dot * detectors.arc_weight
         # causality: contributions vanish once the distance exceeds the window
-        self.geom[self.dist >= self.tau_max] = 0.0
+        self.geom[dist >= tau_max] = 0.0
 
-        if not exact:
+        if exact:
+            self.dist = dist
+        else:
             n_d = TABLE_NODES_PER_DT * time.n_t
             step = sound_speed * time.t_final / n_d
-            self._table_d = np.arange(n_d + 1) * step
-            self._table_matrix = integral_weights(self._table_d, time, sound_speed)
-            pos = self.dist / step
+            self._table_matrix = integral_weights(np.arange(n_d + 1) * step, time, sound_speed)
+            pos = dist / step
             self._idx = np.minimum(pos.astype(np.int64), n_d - 1)
             self._frac = pos - self._idx
 
@@ -227,7 +216,7 @@ class BackprojectionOperator:
             table = self._table_matrix @ q
             step = table[1:] - table[:-1]
             columns = np.arange(n_s)
-        for start in range(0, self.dist.shape[0], PIXEL_BLOCK):
+        for start in range(0, self.geom.shape[0], PIXEL_BLOCK):
             span = slice(start, start + PIXEL_BLOCK)
             if self.exact:
                 b = np.empty_like(self.dist[span])
@@ -295,21 +284,3 @@ class BackprojectionOperator:
         """Unweighted backprojection (the W = 1 special case, summed directly)."""
         return self.contrib(data).sum_image()
 
-
-def backproject_contrib(
-    data: SensorData, grid: ImageGrid, sound_speed: float = 1.0, exact: bool = False
-) -> ContribTensor:
-    op = BackprojectionOperator(grid, data.detectors, data.time, sound_speed, exact)
-    return op.contrib(data)
-
-
-def weighted_ubp(
-    weights: WeightTensor, data: SensorData, sound_speed: float = 1.0, exact: bool = False
-) -> Image:
-    """P(W, G): reconstruct one image as sum_j W(., s_j)^2 b(., s_j).
-
-    Convenience wrapper; use :class:`BackprojectionOperator` directly when
-    reconstructing many data matrices for the same geometry.
-    """
-    op = BackprojectionOperator(weights.grid, data.detectors, data.time, sound_speed, exact)
-    return op.apply(weights, data)

@@ -19,7 +19,7 @@ from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
 from learnedbp.metrics import evaluate, rel_error
 from learnedbp.phantoms import Image, PhantomParams, generate_phantom
-from learnedbp.recon import BackprojectionOperator, WeightTensor, weighted_ubp
+from learnedbp.recon import BackprojectionOperator, WeightTensor
 from learnedbp.training import TrainConfig, grad, loss, sample_loss, sgd_train
 
 
@@ -251,7 +251,8 @@ def test_4_identity_reduction(acceptance_record):
     bitwise = all(
         np.array_equal(op.apply(ones, data).values, op.standard(data).values)
         and np.array_equal(
-            weighted_ubp(ones, data).values, op.contrib(data).sum_image().values
+            BackprojectionOperator.from_scenario(scenario).apply(ones, data).values,
+            op.contrib(data).sum_image().values,
         )
         for data, _ in pairs
     )

@@ -7,9 +7,11 @@ stdout/stderr can be asserted directly.  Exit code contract: 0 success,
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,61 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "reconstruct" in proc.stdout
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # the traced benchmark run wraps package functions by name, so deleting
+    # one of them breaks every traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("tracing", None)
+    assert [name for name in learnedbp.__all__ if not hasattr(learnedbp, name)] == []
+
+
+# ---------------------------------------------------------------------------
+# re-running a verb into the same --out
+
+
+def _same_bytes_as_fresh(rerun_dir, fresh_dir):
+    fresh = sorted(p.relative_to(fresh_dir) for p in fresh_dir.rglob("*") if p.is_file())
+    assert fresh
+    for name in fresh:
+        assert (rerun_dir / name).read_bytes() == (fresh_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("verb", ["gen-data", "reconstruct", "evaluate", "export-weights", "phantom"])
+def test_rerun_into_same_out_matches_a_fresh_run(tmp_path, cfg_path, train_dir, ones_weights, verb):
+    argv = {
+        "gen-data": lambda d: ["gen-data", "--scenario", str(cfg_path), "--count", "2", "--out", str(d / "set")],
+        "reconstruct": lambda d: ["reconstruct", "--scenario", str(cfg_path), "--ones",
+                                  "--data", str(train_dir / "data_00000.patb"), "--out", str(d / "r")],
+        "evaluate": lambda d: ["evaluate", "--data", str(train_dir), "--weights", str(ones_weights),
+                               "--out", str(d / "report.csv")],
+        "export-weights": lambda d: ["export-weights", "--weights", str(ones_weights), "--detector", "1",
+                                     "--out", str(d / "slice.pgm")],
+        "phantom": lambda d: ["phantom", "--scenario", str(cfg_path), "--out", str(d / "ph")],
+    }[verb]
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    rerun.mkdir()
+    fresh.mkdir()
+    assert main(argv(rerun)) == 0
+    assert main(argv(rerun)) == 0
+    assert main(argv(fresh)) == 0
+    _same_bytes_as_fresh(rerun, fresh)
+
+
+def test_gen_data_rerun_with_smaller_count(tmp_path, cfg_path):
+    args = ["gen-data", "--scenario", str(cfg_path)]
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert main(args + ["--count", "3", "--out", str(rerun)]) == 0
+    assert main(args + ["--count", "2", "--out", str(rerun)]) == 0
+    assert main(args + ["--count", "2", "--out", str(fresh)]) == 0
+    _same_bytes_as_fresh(rerun, fresh)
+    assert len(fileio.Dataset.open(rerun)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from learnedbp.forward import (
     abel_weights,
     circle_nodes,
     circular_mean,
-    simulate,
     time_derivative,
 )
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
@@ -144,7 +143,7 @@ class TestTimeDerivative:
 class TestSimulate:
     def test_zero_source_gives_zero_data(self):
         sc = _small_scenario()
-        data = simulate(Image(sc.grid, np.zeros((sc.grid.n, sc.grid.n))), sc)
+        data = ForwardOperator(sc).simulate(Image(sc.grid, np.zeros((sc.grid.n, sc.grid.n))))
         assert np.array_equal(data.values, np.zeros((sc.time.n_t, sc.detectors.n_s)))
 
     def test_linearity(self):
@@ -167,7 +166,7 @@ class TestSimulate:
     def test_causality(self):
         sc = _small_scenario(n=48, n_t=120, directivity=False)
         img = _gaussian_image(sc.grid, (0.0, 0.0), 0.05)
-        data = simulate(img, sc)
+        data = ForwardOperator(sc).simulate(img)
         t = sc.time.samples()
         # detectors sit on the unit circle, so nothing arrives much before
         # t = 1; by t = 0.65 only the e^-24 tail of the source has reached
@@ -179,7 +178,7 @@ class TestSimulate:
         sc = _small_scenario(n=64, n_s=1, n_t=300, directivity=False)
         d = 0.7
         img = _gaussian_image(sc.grid, (1.0 - d, 0.0), 0.04)
-        data = simulate(img, sc)
+        data = ForwardOperator(sc).simulate(img)
         trace = data.values[:, 0]
         t = sc.time.samples()
         t_max = t[int(np.argmax(trace))]

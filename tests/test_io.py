@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from learnedbp.fileio import (
     write_sample,
 )
 from learnedbp.forward import SensorData
-from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
+from learnedbp.geometry import (
+    HALF_CIRCLE_END,
+    SCENARIO_LABELS,
+    ImageGrid,
+    Scenario,
+    TimeGrid,
+    make_detectors,
+    make_scenario,
+)
 from learnedbp.phantoms import Image
 
 
@@ -278,6 +287,23 @@ class TestScenarioCfg:
         assert sc.directivity_enabled
         assert sc.sound_speed == 1.0
 
+    @pytest.mark.parametrize("label", SCENARIO_LABELS)
+    def test_label_only_file_matches_make_scenario(self, tmp_path, label):
+        path = tmp_path / "min.cfg"
+        path.write_text(f"label={label}\n")
+        loaded, _ = load_scenario_cfg(path)
+        expected = make_scenario(label)
+        assert loaded.signature == expected.signature
+        assert loaded.detectors.positions.tobytes() == expected.detectors.positions.tobytes()
+        assert loaded.detectors.normals.tobytes() == expected.detectors.normals.tobytes()
+
+    def test_one_arc_end_keeps_the_other_default(self, tmp_path):
+        path = tmp_path / "arc.cfg"
+        path.write_text("label=custom\narc_start=0.3\n")
+        loaded, _ = load_scenario_cfg(path)
+        expected = make_scenario("custom", arc=(0.3, HALF_CIRCLE_END))
+        assert loaded.detectors.positions.tobytes() == expected.detectors.positions.tobytes()
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# hello\n\nlabel=B_sparse\nn_x=32\n  # again\nn_t=50\n")
@@ -338,6 +364,10 @@ class TestDataset:
     def test_stem_format(self):
         assert Dataset.stem(12) == "phantom_00012"
         assert Dataset.stem(0) == "phantom_00000"
+        assert Dataset.sample_paths("root", "phantom_00012") == (
+            Path("root", "phantom_00012.patb"),
+            Path("root", "data_00012.patb"),
+        )
 
     def test_write_sample_file_names(self, tmp_path):
         _make_dataset(tmp_path, count=1)

@@ -13,11 +13,8 @@ from learnedbp.recon import (
     BackprojectionOperator,
     ContribTensor,
     WeightTensor,
-    backproject_contrib,
     integral_weights,
-    singular_integral,
     time_filter,
-    weighted_ubp,
 )
 
 
@@ -80,7 +77,7 @@ class TestSingularIntegral:
         q = np.ones(300)
         d = 1.0
         expected = math.log((3.0 + math.sqrt(9.0 - d * d)) / d)
-        assert singular_integral(q, d, time) == pytest.approx(expected, rel=1e-12)
+        assert integral_weights(np.array([d]), time)[0] @ q == pytest.approx(expected, rel=1e-12)
 
     def test_linear_integrand_closed_form(self):
         time = TimeGrid(n_t=240, t_final=3.0)
@@ -89,34 +86,13 @@ class TestSingularIntegral:
         d = 0.73
         s = math.sqrt(9.0 - d * d)
         expected = 2.0 * math.log((3.0 + s) / d) + 0.5 * s
-        assert singular_integral(q, d, time) == pytest.approx(expected, rel=1e-12)
+        assert integral_weights(np.array([d]), time)[0] @ q == pytest.approx(expected, rel=1e-12)
 
     def test_zero_beyond_window(self):
         time = TimeGrid(n_t=100, t_final=3.0)
         q = np.ones(100)
-        assert singular_integral(q, 3.0, time) == 0.0
-        assert singular_integral(q, 5.0, time) == 0.0
-
-    def test_rejects_nonpositive_distance(self):
-        time = TimeGrid(n_t=100, t_final=3.0)
-        with pytest.raises(ConfigError):
-            singular_integral(np.ones(100), 0.0, time)
-        with pytest.raises(ConfigError):
-            singular_integral(np.ones(100), -1.0, time)
-
-    def test_wrong_length_rejected(self):
-        time = TimeGrid(n_t=100, t_final=3.0)
-        with pytest.raises(ShapeMismatchError):
-            singular_integral(np.ones(99), 1.0, time)
-
-    def test_matrix_rows_match_scalar_calls(self):
-        time = TimeGrid(n_t=80, t_final=3.0)
-        rng = np.random.default_rng(3)
-        q = rng.standard_normal(80)
-        ds = np.array([0.2, 0.9, 1.7, 2.9])
-        mat = integral_weights(ds, time)
-        for m, d in enumerate(ds):
-            assert mat[m] @ q == pytest.approx(singular_integral(q, float(d), time), rel=1e-13)
+        assert integral_weights(np.array([3.0]), time)[0] @ q == 0.0
+        assert integral_weights(np.array([5.0]), time)[0] @ q == 0.0
 
 
 class TestBackprojection:
@@ -242,6 +218,16 @@ class TestBackprojection:
                 with pytest.raises(ShapeMismatchError, match="do not match operator"):
                     op.apply(wrong, overflowing)
 
+    def test_table_mode_keeps_no_distance_array(self):
+        sc = _scenario(n=16, n_s=4, n_t=40)
+        per_pixel_detector = sc.grid.n**2 * sc.detectors.n_s * 8
+        table = BackprojectionOperator.from_scenario(sc)
+        held = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+        # geometry factor, lookup indices and fractions, plus the quadrature table
+        assert held <= 3 * per_pixel_detector + table._table_matrix.nbytes
+        exact = BackprojectionOperator.from_scenario(sc, exact=True)
+        assert exact.dist.shape == (sc.grid.n**2, sc.detectors.n_s)
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_overflowing_data_is_rejected(self, exact):
         # 1e307 is finite, but its filtered trace is not
@@ -253,16 +239,6 @@ class TestBackprojection:
             for call in (lambda: op.contrib(data), lambda: op.apply(weights, data), lambda: op.standard(data)):
                 with pytest.raises(ShapeMismatchError, match="contributions must be finite"):
                     call()
-
-    def test_module_level_wrappers(self):
-        sc = _scenario(n=16, n_s=4, n_t=40)
-        data = _smooth_data(sc, seed=11)
-        op = BackprojectionOperator.from_scenario(sc)
-        b = backproject_contrib(data, sc.grid)
-        assert np.array_equal(b.values, op.contrib(data).values)
-        w = WeightTensor.ones(sc.grid, 4)
-        img = weighted_ubp(w, data)
-        assert np.array_equal(img.values, op.apply(w, data).values)
 
 
 def _bits(values):
