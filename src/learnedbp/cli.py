@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -106,6 +107,11 @@ def cmd_gen_data(args) -> int:
         for path in written:
             Path(path).unlink(missing_ok=True)
         raise
+    # a re-run with a smaller --count leaves no sample the manifest does not list
+    for path in out.glob("*.patb"):
+        match = re.fullmatch(r"(?:phantom|data)_(\d{5,})\.patb", path.name)
+        if match and int(match.group(1)) >= args.count:
+            path.unlink()
     print(f"wrote {args.count} sample pairs to {out}")
     return EXIT_OK
 

@@ -16,9 +16,11 @@ every pixel distance instead.
 
 Contributions are computed in blocks of PIXEL_BLOCK pixels, in both
 modes.  In table mode each block reads the table and its node-to-node
-steps with one flat gather per array, at offsets idx * n_s + j.  The
-weighted sum reduces each block as it is made, so a reconstruction holds
-one block of temporaries, never the whole (n^2, n_s) contributions.
+steps with one flat gather per array, at offsets idx * n_s + j computed
+once per operator.  The weighted sum reduces each block as it is made,
+so a reconstruction holds one block of temporaries, never the whole
+(n^2, n_s) contributions; it checks each reduced block for finiteness,
+while contrib checks the whole tensor once.
 """
 
 from __future__ import annotations
@@ -108,31 +110,40 @@ def integral_weights(d: np.ndarray, time: TimeGrid, sound_speed: float = 1.0) ->
     integral t dt/sqrt(t^2-d^2) = sqrt(t^2-d^2) are exact, which removes
     the inverse-square-root singularity at t = d analytically.  Rows with
     d_m >= T are zero.
+
+    Row m is zero on every interval with t_{k+1} <= d_m, so the rows are
+    computed in chunks, each from the first interval active in any of its
+    rows; sorted distances, as in the lookup table, skip about half.
     """
     d = np.asarray(d, dtype=np.float64)
     tau = sound_speed * time.samples()
-    a = tau[:-1][None, :]
-    b = tau[1:][None, :]
-    d_col = d[:, None]
-
-    lo = np.maximum(a, d_col)
-    active = d_col < b
-    s_b = np.sqrt(np.maximum(b**2 - d_col**2, 0.0))
-    s_lo = np.sqrt(np.maximum(lo**2 - d_col**2, 0.0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        j0 = np.log(b + s_b) - np.log(lo + s_lo)
-    j1 = s_b - s_lo
-    j0 = np.where(active, j0, 0.0)
-    j1 = np.where(active, j1, 0.0)
-
-    # linear interpolant on [a, b] is anchored at the left node even when
-    # the integration starts at d inside the interval
-    w_hi = (j1 - a * j0) / (b - a)
-    w_lo = j0 - w_hi
-
+    # index of the first interval [t_k, t_{k+1}] with t_{k+1} > d, per row
+    first = np.searchsorted(tau[1:], d, side="right")
     weights = np.zeros((d.shape[0], time.n_t))
-    weights[:, :-1] += w_lo
-    weights[:, 1:] += w_hi
+    for start in range(0, d.shape[0], 128):
+        rows = slice(start, start + 128)
+        k0 = first[rows].min()
+        a = tau[k0:-1][None, :]
+        b = tau[k0 + 1 :][None, :]
+        d_col = d[rows, None]
+
+        lo = np.maximum(a, d_col)
+        active = d_col < b
+        s_b = np.sqrt(np.maximum(b**2 - d_col**2, 0.0))
+        s_lo = np.sqrt(np.maximum(lo**2 - d_col**2, 0.0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            j0 = np.log(b + s_b) - np.log(lo + s_lo)
+        j1 = s_b - s_lo
+        j0 = np.where(active, j0, 0.0)
+        j1 = np.where(active, j1, 0.0)
+
+        # linear interpolant on [a, b] is anchored at the left node even when
+        # the integration starts at d inside the interval
+        w_hi = (j1 - a * j0) / (b - a)
+        w_lo = j0 - w_hi
+
+        weights[rows, k0:-1] += w_lo
+        weights[rows, k0 + 1 :] += w_hi
     return weights
 
 
@@ -141,11 +152,11 @@ class BackprojectionOperator:
 
     Everything that does not depend on the measured data (the geometric
     factor (1/pi) <nu, x-s> ds, the singular integral quadrature matrix
-    and the table-lookup indices) is built once here, so training loops
+    and the table-lookup offsets) is built once here, so training loops
     and batch evaluations pay only two small matrix products per sample.
     The pixel-detector distances are kept only in exact mode, which
     evaluates the quadrature at each of them; table mode keeps their
-    lookup indices and fractions instead.
+    flat lookup offsets and fractions instead.
 
     Contributions come from one generator, :meth:`_contrib_blocks`, in
     blocks of PIXEL_BLOCK pixels; exact mode goes through the same blocks.
@@ -190,8 +201,12 @@ class BackprojectionOperator:
             step = sound_speed * time.t_final / n_d
             self._table_matrix = integral_weights(np.arange(n_d + 1) * step, time, sound_speed)
             pos = dist / step
-            self._idx = np.minimum(pos.astype(np.int64), n_d - 1)
-            self._frac = pos - self._idx
+            idx = np.minimum(pos.astype(np.int64), n_d - 1)
+            self._frac = pos - idx
+            # flat offsets idx * n_s + j into the row-major (n_d, n_s) table
+            idx *= detectors.n_s
+            idx += np.arange(detectors.n_s)
+            self._flat = idx
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, exact: bool = False) -> "BackprojectionOperator":
@@ -215,7 +230,6 @@ class BackprojectionOperator:
         if not self.exact:
             table = self._table_matrix @ q
             step = table[1:] - table[:-1]
-            columns = np.arange(n_s)
         for start in range(0, self.geom.shape[0], PIXEL_BLOCK):
             span = slice(start, start + PIXEL_BLOCK)
             if self.exact:
@@ -229,14 +243,11 @@ class BackprojectionOperator:
             else:
                 # table[idx] + frac * (table[idx + 1] - table[idx]), gathered
                 # by flat offsets into the row-major (n_d, n_s) arrays
-                flat = self._idx[span] * n_s
-                flat += columns
+                flat = self._flat[span]
                 b = step.take(flat)
                 b *= self._frac[span]
                 b += table.take(flat)
             b *= self.geom[span]
-            if not np.all(np.isfinite(b)):
-                raise ShapeMismatchError("contributions must be finite")
             yield span, b
 
     def contrib(self, data: SensorData) -> ContribTensor:
@@ -254,6 +265,10 @@ class BackprojectionOperator:
         image = np.empty(w.shape[0])
         for span, b in self._contrib_blocks(data):
             image[span] = self.apply_values(w[span], b)
+            # the weights are finite, so a non-finite b always makes its
+            # pixel's sum non-finite; b itself is looked at only then
+            if not np.all(np.isfinite(image[span])) and not np.all(np.isfinite(b)):
+                raise ShapeMismatchError("contributions must be finite")
         return Image(self.grid, image.reshape(self.grid.n, self.grid.n))
 
     @staticmethod

@@ -7,8 +7,10 @@ sum_j W^2 b with b independent of W, the gradient has the closed form
 and held-out sample are computed once per run, before the learning-rate
 pre-scan.  Stored contributions are bounded by CONTRIB_CACHE_BYTES
 (n^2 * n_s * 8 bytes per sample, training samples first); samples past
-the budget recompute b at each use.  Training is plain SGD with batch
-size one, deterministic given the dataset and the config.
+the budget recompute b at each use.  Training is plain SGD, batch size
+one by default, deterministic given the dataset and the config.  A step
+writes its gradient into one buffer allocated per run and updates the
+weights in place; the weight tensors it hands out own their arrays.
 """
 
 from __future__ import annotations
@@ -114,14 +116,15 @@ def grad(weights: WeightTensor, pair, op: BackprojectionOperator) -> np.ndarray:
     return _step(weights.values, op.contrib(data).values, truth.values)[1]
 
 
-def _step(w: np.ndarray, b: np.ndarray, truth: np.ndarray, gradient: bool = True):
+def _step(w: np.ndarray, b: np.ndarray, truth: np.ndarray, gradient: bool = True, out=None):
     """Squared error ||sum_j w^2 b - f||^2 of one sample on raw arrays and,
-    unless ``gradient`` is false, its gradient 4 * residual * w * b."""
+    unless ``gradient`` is false, its gradient 4 * residual * w * b, written
+    into ``out`` when given."""
     residual = BackprojectionOperator.apply_values(w, b) - truth
     error = float((residual**2).sum())
     if not gradient:
         return error, None
-    full = 4.0 * residual[:, :, None] * w
+    full = np.multiply(4.0 * residual[:, :, None], w, out=out)
     full *= b
     return error, full
 
@@ -190,7 +193,10 @@ class _WeightParam:
         return flat.reshape(n, n, self.n_s)
 
     def expand(self, values: np.ndarray) -> WeightTensor:
-        return WeightTensor(self.expand_values(values), self.grid)
+        """Validated tensor that owns its array, so that later in-place
+        updates of ``values`` do not reach it."""
+        expanded = self.expand_values(values)
+        return WeightTensor(expanded.copy() if expanded is values else expanded, self.grid)
 
     def pull_back(self, full_grad: np.ndarray) -> np.ndarray:
         if self.upsample is None:
@@ -296,7 +302,8 @@ def sgd_train(
     if len(train_pairs) == 0:
         raise ConfigError("training set is empty")
     param = _WeightParam(op.grid, op.detectors.n_s, cfg.weight_grid)
-    values = param.init_values(cfg.init, reader=weight_reader)
+    # a copy, so the in-place updates below never write into the reader's array
+    values = param.init_values(cfg.init, reader=weight_reader).copy()
 
     train_b = _store_contribs(train_pairs, op, CONTRIB_CACHE_BYTES)
     heldout_b = _store_contribs(heldout_pairs, op, CONTRIB_CACHE_BYTES - sum(b.nbytes for b in train_b))
@@ -305,10 +312,11 @@ def sgd_train(
     if lr is None:
         lr = prescan_learning_rate(param, values, train_pairs, op, stored=train_b)
 
-    if checkpoint is not None:
-        checkpoint(0, param.expand(values))
-
     state = TrainState(weights=param.expand(values), learning_rate=lr)
+    if checkpoint is not None:
+        checkpoint(0, state.weights)
+
+    grad_buf = np.empty((op.grid.n, op.grid.n, op.detectors.n_s))
     start = _time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
         order = epoch_order(cfg.shuffle_seed, epoch, len(train_pairs))
@@ -316,13 +324,19 @@ def sgd_train(
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, len(order), cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
-                step = np.zeros_like(values)
                 w = param.expand_values(values)
-                for k in batch:
-                    error, full = _step(w, _contrib(op, train_pairs, train_b, k), train_pairs[k][1].values)
+                for i, k in enumerate(batch):
+                    b = _contrib(op, train_pairs, train_b, k)
+                    error, full = _step(w, b, train_pairs[k][1].values, out=grad_buf)
                     epoch_total += error
-                    step += param.pull_back(full)
-                values = values - (lr / len(batch)) * step
+                    g = param.pull_back(full)
+                    if i > 0:
+                        update += g
+                    else:
+                        # the next gradient of the batch overwrites grad_buf
+                        update = g.copy() if g is grad_buf and len(batch) > 1 else g
+                update *= lr / len(batch)
+                values -= update
                 if not np.all(np.isfinite(values)):
                     raise DivergenceError(
                         f"training diverged at epoch {epoch}; try a lower learning rate"

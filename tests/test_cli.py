@@ -178,6 +178,8 @@ def test_gen_data_rerun_with_smaller_count(tmp_path, cfg_path):
     assert main(args + ["--count", "2", "--out", str(rerun)]) == 0
     assert main(args + ["--count", "2", "--out", str(fresh)]) == 0
     _same_bytes_as_fresh(rerun, fresh)
+    # the third sample's files of the first run are gone too
+    assert sorted(p.name for p in rerun.iterdir()) == sorted(p.name for p in fresh.iterdir())
     assert len(fileio.Dataset.open(rerun)) == 2
 
 

@@ -95,6 +95,50 @@ class TestSingularIntegral:
         assert integral_weights(np.array([5.0]), time)[0] @ q == 0.0
 
 
+def _dense_integral_weights(d, time):
+    """integral_weights over every interval of every row, the formula before
+    rows were computed from their first active interval on."""
+    tau = time.samples()
+    a, b, d_col = tau[:-1][None, :], tau[1:][None, :], d[:, None]
+    lo = np.maximum(a, d_col)
+    active = d_col < b
+    s_b = np.sqrt(np.maximum(b**2 - d_col**2, 0.0))
+    s_lo = np.sqrt(np.maximum(lo**2 - d_col**2, 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        j0 = np.log(b + s_b) - np.log(lo + s_lo)
+    j1 = s_b - s_lo
+    j0 = np.where(active, j0, 0.0)
+    j1 = np.where(active, j1, 0.0)
+    w_hi = (j1 - a * j0) / (b - a)
+    w_lo = j0 - w_hi
+    weights = np.zeros((d.shape[0], time.n_t))
+    weights[:, :-1] += w_lo
+    weights[:, 1:] += w_hi
+    return weights
+
+
+class TestBandedIntegralWeights:
+    def test_table_distances_match_dense_formula_bitwise(self):
+        sc = _scenario(n_t=80)
+        op = BackprojectionOperator.from_scenario(sc)
+        n_d = op._table_matrix.shape[0] - 1
+        d = np.arange(n_d + 1) * (sc.time.t_final / n_d)
+        assert np.array_equal(_bits(op._table_matrix), _bits(_dense_integral_weights(d, sc.time)))
+
+    def test_unsorted_distances_match_dense_formula_bitwise(self):
+        time = TimeGrid(n_t=90, t_final=3.0)
+        d = np.random.default_rng(16).uniform(0.0, 3.5, 700)
+        # zero, below the first sample, at and beyond the window's end
+        d[[3, 200, 450, 451, 699]] = [0.0, 0.4 * time.samples()[0], 3.0, 5.0, time.samples()[-2]]
+        weights = integral_weights(d, time)
+        assert np.array_equal(_bits(weights), _bits(_dense_integral_weights(d, time)))
+        assert not weights[450].any() and not weights[451].any()
+        assert weights[3].all()
+
+    def test_empty_distances(self):
+        assert integral_weights(np.array([]), TimeGrid(n_t=10, t_final=1.0)).shape == (0, 10)
+
+
 class TestBackprojection:
     def test_zero_data_zero_image(self):
         sc = _scenario()
@@ -171,8 +215,11 @@ class TestBackprojection:
         op = BackprojectionOperator.from_scenario(sc)
         data = _smooth_data(sc, seed=10)
         table = op._table_matrix @ time_filter(data, op.sound_speed)
-        lo = np.take_along_axis(table, op._idx, axis=0)
-        hi = np.take_along_axis(table, op._idx + 1, axis=0)
+        # the flat gather offsets are idx * n_s + j, j the detector column
+        assert np.array_equal(op._flat % 5, np.broadcast_to(np.arange(5), op._flat.shape))
+        idx = op._flat // 5
+        lo = np.take_along_axis(table, idx, axis=0)
+        hi = np.take_along_axis(table, idx + 1, axis=0)
         expected = (op.geom * (lo + op._frac * (hi - lo))).reshape(24, 24, 5)
         b = op.contrib(data).values
         assert np.array_equal(b, expected)

@@ -266,6 +266,10 @@ class TestSgdTrain:
         assert state.train_losses[-1] < state.train_losses[0]
 
 
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
 def _reference_sgd(train, heldout, cfg, op):
     """SGD and its learning-rate pre-scan from their definitions, calling
     op.contrib afresh at every use; returns (weights, train losses,
@@ -341,7 +345,7 @@ class TestStoredContributions:
         cfg = TrainConfig(epochs=3, **overrides)
         state = sgd_train(train, heldout, cfg, op)
         weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op)
-        assert np.array_equal(state.weights.values, weights)
+        assert np.array_equal(_bits(state.weights.values), _bits(weights))
         assert state.train_losses == train_losses
         assert state.heldout_losses == heldout_losses
         assert state.learning_rate == lr
@@ -359,6 +363,35 @@ class TestStoredContributions:
         monkeypatch.setattr(op, "contrib", counting)
         sgd_train(train, heldout, TrainConfig(epochs=epochs), op)
         assert len(calls) == len(train) + len(heldout)
+
+
+class TestInPlaceUpdate:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"batch_size": 3}, {"weight_grid": 4, "batch_size": 2}],
+        ids=["full-resolution", "batch-3", "weight-grid-batch-2"],
+    )
+    def test_returned_tensors_own_their_arrays(self, simulated_problem, overrides):
+        # the update runs in place; no tensor handed out may see a later step
+        sc, op, train, heldout = simulated_problem
+        kept = []
+        cfg = TrainConfig(epochs=3, learning_rate=1e-3, checkpoint_every=1, **overrides)
+        state = sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: kept.append((e, w, w.values.copy())))
+        assert [e for e, _, _ in kept] == [0, 1, 2, 3]
+        for _, tensor, copy in kept:
+            assert np.array_equal(_bits(tensor.values), _bits(copy))
+        assert np.all(kept[0][2] == 1.0)
+        assert not np.array_equal(kept[1][2], kept[0][2])
+        assert np.array_equal(_bits(state.weights.values), _bits(kept[-1][2]))
+
+    def test_resumed_weights_are_not_written(self, simulated_problem):
+        sc, op, train, heldout = simulated_problem
+        resumed = np.random.default_rng(21).uniform(0.5, 1.5, (sc.grid.n, sc.grid.n, sc.detectors.n_s))
+        copy = resumed.copy()
+        cfg = TrainConfig(epochs=2, learning_rate=1e-3, init="resume.patb")
+        state = sgd_train(train, heldout, cfg, op, weight_reader=lambda path: resumed)
+        assert np.array_equal(_bits(resumed), _bits(copy))
+        assert not np.array_equal(state.weights.values, copy)
 
 
 class TestPrescan:
