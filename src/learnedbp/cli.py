@@ -39,12 +39,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative(kind):
+    """argparse type: ``kind``, rejecting values below 0 (and NaN)."""
+
+    def parse(text):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _resolve_scenario(args, dataset=None):
     """Scenario from --scenario, falling back to (and cross-checked
-    against) the dataset's own config."""
-    scenario = seed = None
+    against) the dataset's own config, and the base seed: --seed, else
+    the config's seed, else 0."""
+    scenario = cfg_seed = None
     if args.scenario is not None:
-        scenario, seed = fileio.load_scenario_cfg(args.scenario)
+        scenario, cfg_seed = fileio.load_scenario_cfg(args.scenario)
     if dataset is not None:
         if scenario is None:
             scenario = dataset.scenario
@@ -54,6 +68,7 @@ def _resolve_scenario(args, dataset=None):
             )
     if scenario is None:
         raise ConfigError("--scenario is required for this command")
+    seed = args.seed if args.seed is not None else (cfg_seed if cfg_seed is not None else 0)
     return scenario, seed
 
 
@@ -70,8 +85,7 @@ def _file_hashes(root: Path, names) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    scenario, cfg_seed = _resolve_scenario(args)
-    base_seed = args.seed if args.seed is not None else (cfg_seed if cfg_seed is not None else 0)
+    scenario, base_seed = _resolve_scenario(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -216,8 +230,7 @@ def cmd_export_weights(args) -> int:
 
 
 def cmd_phantom(args) -> int:
-    scenario, cfg_seed = _resolve_scenario(args)
-    seed = args.seed if args.seed is not None else (cfg_seed if cfg_seed is not None else 0)
+    scenario, seed = _resolve_scenario(args)
     phantom = generate_phantom(PhantomParams(seed=seed), scenario.grid)
     base = Path(args.out)
     fileio.write_patb(base.with_suffix(".patb"), phantom.values)
@@ -237,9 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a paired phantom/sensor-data set")
     common(p)
-    p.add_argument("--count", type=int, required=True, help="number of sample pairs")
+    p.add_argument("--count", type=_nonnegative(int), required=True, help="number of sample pairs")
     p.add_argument("--split", choices=("train", "test"), default="train")
-    p.add_argument("--noise", type=float, default=0.0, help="relative Gaussian noise level")
+    p.add_argument("--noise", type=_nonnegative(float), default=0.0, help="relative Gaussian noise level")
     p.add_argument("--n-angles", type=int, default=None, help="angular quadrature nodes")
     p.add_argument("--n-r-per-dt", type=int, default=DEFAULT_N_R_PER_DT, help="radial nodes per time step")
     p.set_defaults(func=cmd_gen_data)

@@ -10,14 +10,17 @@ angular sample by the cos^2 sensitivity of the receiving detector.
 
 The image is read with bilinear interpolation, zero outside the grid.
 Each image is padded by one zero pixel so the 4-tap stencil needs no
-per-tap mask.  Each ray from a detector is clipped to the square that
-stencil can reach and to the batch's support disk (the farthest nonzero
-pixel centre plus h*sqrt(2)), and angles of directivity 0 are skipped.
-Every sample left out would add exactly 0 to its radial bin, so the
-sums are bitwise those of gathering the whole square.  The samples are
-gathered in blocks of whole rays of about GATHER_BLOCK samples, each
-added into the bins in order, so the simulator's working memory does not
-grow with the grid or depend on the images' support.
+per-tap mask; a sample beyond the padded border reads only zero pixels.
+Each ray from a detector is clipped to the batch's support disk (the
+farthest nonzero pixel centre plus h*sqrt(2)), and angles of
+directivity 0 are skipped.  Every sample left out would add exactly 0
+to its radial bin, so the sums are bitwise those of gathering the whole
+square.  The samples are gathered in blocks of whole rays of about
+GATHER_BLOCK samples, each added into the bins in order, so the
+simulator's working memory does not grow with the grid or depend on the
+images' support.  Each image then gets its own Abel product, a plain sum
+in column order over the quadrature matrix's CSR staircase, so its data
+do not depend on the batch and the product starts no BLAS threads.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConfigError, ShapeMismatchError
 from .geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, directivity_factors
@@ -112,10 +116,10 @@ def abel_weights(tau: np.ndarray, r: np.ndarray, nodes_per_sample: int) -> np.nd
     covered = (np.arange(1, n_r + 1)[None, :] <= nodes_per_sample * np.arange(1, n_t + 1)[:, None])
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        k0 = np.arcsin(np.clip(r_hi / tau_col, 0.0, 1.0)) - np.arcsin(np.clip(r_lo / tau_col, 0.0, 1.0))
-        k1 = np.sqrt(np.maximum(tau_col**2 - r_lo**2, 0.0)) - np.sqrt(np.maximum(tau_col**2 - r_hi**2, 0.0))
-    k0 = np.where(covered, k0, 0.0)
-    k1 = np.where(covered, k1, 0.0)
+        k0 = np.arcsin(np.clip(r / tau_col, 0.0, 1.0))
+        k0 = np.where(covered, k0[:, 1:] - k0[:, :-1], 0.0)
+        k1 = np.sqrt(np.maximum(tau_col**2 - r**2, 0.0))
+        k1 = np.where(covered, k1[:, :-1] - k1[:, 1:], 0.0)
 
     w_hi = (k1 - r_lo * k0) / (r_hi - r_lo)
     w_lo = k0 - w_hi
@@ -168,8 +172,15 @@ class ForwardOperator:
 
         n_r = time.n_t * n_r_per_dt
         self.radii = np.arange(n_r + 1) * (tau_max / n_r)
-        tau = self.radii[n_r_per_dt::n_r_per_dt]
-        self.abel = abel_weights(tau, self.radii, n_r_per_dt)
+        # quadrature row k is nonzero in its first n_r_per_dt*(k+1)+1 columns; the CSR keeps them in the
+        # dense buffer, so the gather's blocks reuse the build's freed heap instead of trimming it
+        width = n_r_per_dt * np.arange(1, time.n_t + 1) + 1
+        inside = np.arange(n_r + 1) < width[:, None]
+        abel = abel_weights(self.radii[n_r_per_dt::n_r_per_dt], self.radii, n_r_per_dt)
+        data = abel.reshape(-1)[: width.sum()]
+        data[:] = abel[inside]
+        cols = np.broadcast_to(np.arange(n_r + 1), inside.shape)[inside]
+        self.abel = scipy.sparse.csr_array((data, cols, np.r_[0, np.cumsum(width)]), shape=inside.shape)
         self.omega = circle_nodes(n_angles)
         self.phi = directivity_factors(det.normals, self.omega) if scenario.directivity_enabled else None
 
@@ -186,32 +197,23 @@ class ForwardOperator:
         """Every circle sample of detector ``j`` that can be nonzero, in
         blocks of whole rays of about GATHER_BLOCK samples, in angle order.
 
-        The ray p_j + r*omega_a meets the square of half-width
-        extent + h/2 -- the support of the zero-padded bilinear stencil --
-        in one interval of r, found per angle by the slab method, and the
-        disk |x| <= ``radius`` in the chord
-        r^2 + 2r(p_j . omega_a) + |p_j|^2 - radius^2 <= 0.  Only the
-        radial nodes inside both, widened by one node at each end, are
+        The ray p_j + r*omega_a meets the disk |x| <= ``radius`` in the
+        chord r^2 + 2r(p_j . omega_a) + |p_j|^2 - radius^2 <= 0.  Only the
+        radial nodes inside it, widened by one node at each end, are
         sampled; rays that miss the disk or have directivity 0 get none.
         Yields their radial node indices and their stencil (indices into
         the padded image and weights, with the directivity folded in).
         """
         grid = self.scenario.grid
         pos = self.scenario.detectors.positions[j]
-        half = grid.extent + 0.5 * grid.spacing
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_near = (-half - pos[:, None]) / self.omega.T
-            t_far = (half - pos[:, None]) / self.omega.T
         b = self.omega @ pos
         disc = b * b - pos @ pos + radius * radius
         chord = np.sqrt(np.maximum(disc, 0.0))
-        r_in = np.maximum(np.fmin(t_near, t_far).max(axis=0), -b - chord)
-        r_out = np.minimum(np.fmax(t_near, t_far).min(axis=0), -b + chord)
 
         dr = self.radii[1]
         n_r = self.radii.shape[0] - 1
-        first = np.clip(np.ceil(r_in / dr) - 1, 0, n_r + 1).astype(np.int64)
-        last = np.clip(np.floor(r_out / dr) + 1, -1, n_r).astype(np.int64)
+        first = np.clip(np.ceil((-b - chord) / dr) - 1, 0, n_r + 1).astype(np.int64)
+        last = np.clip(np.floor((-b + chord) / dr) + 1, -1, n_r).astype(np.int64)
         count = np.maximum(last - first + 1, 0)
         # radius**2 of a negative radius is positive, so test its sign too
         seen = (disc >= 0) & (radius >= 0)
@@ -261,20 +263,17 @@ class ForwardOperator:
 
     def simulate_batch(self, images) -> list[SensorData]:
         """Simulate several images at once, sampling each detector's
-        circles once for the whole batch."""
+        circles once for the whole batch.  Each image's data are bitwise
+        those of simulating it alone."""
         scenario = self.scenario
         grid, det, time = scenario.grid, scenario.detectors, scenario.time
         for img in images:
             if img.grid != grid:
                 raise ShapeMismatchError(f"image grid {img.grid} does not match scenario grid {grid}")
-        n_img = len(images)
         radius = self._support_radius(images)
         padded = [zero_pad(img.values) for img in images]
-        out = np.empty((n_img, time.n_t, det.n_s))
-        m_table = np.empty((self.radii.shape[0], n_img))
+        tables = np.empty((len(images), self.radii.shape[0], det.n_s))
         for j in range(det.n_s):
-            m_table[:] = self._tables(j, radius, padded).T
-            v = self.abel @ m_table
-            out[:, :, j] = time_derivative(v, time.dt).T
-        return [SensorData(out[k], time, det) for k in range(n_img)]
+            tables[:, :, j] = self._tables(j, radius, padded)
+        return [SensorData(time_derivative(self.abel @ table, time.dt), time, det) for table in tables]
 

@@ -104,6 +104,16 @@ def test_bad_flag_value_writes_nothing(tmp_path, cfg_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--noise", "-0.5"), ("--noise", "nan")])
+def test_negative_count_or_noise_leaves_a_dataset_untouched(tmp_path, cfg_path, flag, value):
+    out = tmp_path / "set"
+    argv = ["gen-data", "--scenario", str(cfg_path), "--out", str(out), "--count", "2"]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(argv + [flag, value]) == 1
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_missing_required_flag_is_usage_error(tmp_path, cfg_path):
     rc = main(["reconstruct", "--scenario", str(cfg_path), "--data", "x.patb"])
     assert rc == 1

@@ -1,0 +1,42 @@
+"""Smoke tests of the demo scripts, run as a user would run them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_demo(script, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_quickstart(tmp_path):
+    result = _run_demo("quickstart.py", "--n", "32", "--out", "q", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    for name in ("q.phantom.pgm", "q.recon.pgm"):
+        assert (tmp_path / name).read_bytes().startswith(b"P5")
+        assert (tmp_path / (name + ".txt")).is_file()
+    out = result.stdout
+    assert "scenario C_limited_sparse: " in out
+    assert "simulated data: " in out
+    assert "plain backprojection rel l2 error: " in out
+    assert "wrote q.phantom.pgm and q.recon.pgm" in out
+
+
+def test_train_demo(tmp_path):
+    result = _run_demo("train_demo.py", "--epochs", "2", "--train-count", "6", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    out = result.stdout
+    assert "simulating 6 training and 5 held-out phantoms..." in out
+    assert "  epoch   1  train loss " in out
+    assert "scenario A_limited_view: 5 samples" in out
+    rows = [line.split() for line in out.splitlines()]
+    for method in ("UBP", "weighted-UBP"):
+        assert [method, "mean", "rel", "l2", "error"] in [row[:5] for row in rows]
+    assert "improvement: " in out

@@ -194,11 +194,24 @@ class TestSimulate:
         f = generate_phantom(PhantomParams(seed=5), sc.grid)
         g = generate_phantom(PhantomParams(seed=6), sc.grid)
         batch = op.simulate_batch([f, g])
-        # batched and single runs use different BLAS shapes, so agreement
-        # is to rounding, not bitwise
-        scale = np.abs(batch[0].values).max()
-        np.testing.assert_allclose(batch[0].values, op.simulate(f).values, atol=1e-12 * scale)
-        np.testing.assert_allclose(batch[1].values, op.simulate(g).values, atol=1e-12 * scale)
+        np.testing.assert_array_equal(batch[0].values.view(np.int64), op.simulate(f).values.view(np.int64))
+        np.testing.assert_array_equal(batch[1].values.view(np.int64), op.simulate(g).values.view(np.int64))
+
+    @pytest.mark.parametrize("directivity", [True, False])
+    @pytest.mark.parametrize("label", ["A_limited_view", "B_sparse", "C_limited_sparse"])
+    def test_data_do_not_depend_on_the_batch(self, label, directivity):
+        sc = dataclasses.replace(make_scenario(label, n=32, n_t=100), directivity_enabled=directivity)
+        op = ForwardOperator(sc)
+        rng = np.random.default_rng(7)
+        images = [generate_phantom(PhantomParams(seed=s), sc.grid) for s in (31, 32, 33)]
+        images += [_compact_blob(sc.grid, (-0.3, 0.2), 0.05), Image(sc.grid, rng.random((32, 32)))]
+        batch = [d.values.view(np.int64) for d in op.simulate_batch(images)]
+        for k, img in enumerate(images):
+            np.testing.assert_array_equal(op.simulate(img).values.view(np.int64), batch[k])
+        for size in (2, 3):
+            split = [d for lo in range(0, len(images), size) for d in op.simulate_batch(images[lo : lo + size])]
+            for got, want in zip(split, batch, strict=True):
+                np.testing.assert_array_equal(got.values.view(np.int64), want)
 
     def test_rotational_equivariance(self):
         sc = _small_scenario(n=64, n_s=8, n_t=100)
@@ -355,19 +368,58 @@ def _square_samples(op: ForwardOperator, j: int):
 
 
 def _square_simulate(op: ForwardOperator, images) -> list:
-    """ForwardOperator.simulate_batch before the support clip."""
+    """ForwardOperator.simulate_batch before the support clip, with one
+    Abel product per image as the operator makes."""
     sc = op.scenario
     det, time = sc.detectors, sc.time
     padded = [zero_pad(img.values) for img in images]
-    out = np.empty((len(images), time.n_t, det.n_s))
-    m_table = np.empty((op.radii.shape[0], len(images)))
+    m_tables = np.empty((len(images), op.radii.shape[0], det.n_s))
     for j in range(det.n_s):
         node, idx, wts = _square_samples(op, j)
         for k, image in enumerate(padded):
             vals = np.einsum("qm,qm->m", image.take(idx), wts)
-            m_table[:, k] = op.radii * np.bincount(node, weights=vals, minlength=op.radii.shape[0]) / op.n_angles
-        out[:, :, j] = time_derivative(op.abel @ m_table, time.dt).T
-    return list(out)
+            m_tables[k, :, j] = op.radii * np.bincount(node, weights=vals, minlength=op.radii.shape[0]) / op.n_angles
+    return [time_derivative(op.abel @ m_table, time.dt) for m_table in m_tables]
+
+
+def _slab_disk_samples(op: ForwardOperator, j: int, radius: float):
+    """ForwardOperator._sample_blocks in one block, with each ray
+    clipped to the padded square as well as to the support disk."""
+    grid = op.scenario.grid
+    pos = op.scenario.detectors.positions[j]
+    half = grid.extent + 0.5 * grid.spacing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_near = (-half - pos[:, None]) / op.omega.T
+        t_far = (half - pos[:, None]) / op.omega.T
+    b = op.omega @ pos
+    disc = b * b - pos @ pos + radius * radius
+    chord = np.sqrt(np.maximum(disc, 0.0))
+    r_in = np.maximum(np.fmin(t_near, t_far).max(axis=0), -b - chord)
+    r_out = np.minimum(np.fmax(t_near, t_far).min(axis=0), -b + chord)
+
+    dr = op.radii[1]
+    n_r = op.radii.shape[0] - 1
+    first = np.clip(np.ceil(r_in / dr) - 1, 0, n_r + 1).astype(np.int64)
+    last = np.clip(np.floor(r_out / dr) + 1, -1, n_r).astype(np.int64)
+    count = np.maximum(last - first + 1, 0)
+    seen = (disc >= 0) & (radius >= 0)
+    if op.phi is not None:
+        seen &= op.phi[j] > 0
+    count[~seen] = 0
+
+    skip = np.cumsum(count) - count - first
+    node = np.arange(count.sum()) - np.repeat(skip, count)
+    r = op.radii[node]
+    x = np.repeat(op.omega[:, 0], count)
+    x *= r
+    x += pos[0]
+    y = np.repeat(op.omega[:, 1], count)
+    y *= r
+    y += pos[1]
+    idx, wts = bilinear_stencil(grid, x, y)
+    if op.phi is not None:
+        wts *= np.repeat(op.phi[j], count)
+    return node, idx, wts
 
 
 def _n_samples(op: ForwardOperator, j: int, radius: float) -> int:
@@ -460,17 +512,36 @@ class TestSupportClip:
         self._assert_bitwise(op, images)
 
     def test_blocks_hold_whole_rays_up_to_the_block_size(self, monkeypatch):
-        monkeypatch.setattr(forward, "GATHER_BLOCK", 500)
-        # full support and no blind angles, so every ray is the square gather's
         sc = dataclasses.replace(make_scenario("B_sparse", n=32, n_t=100), directivity_enabled=False)
         op = ForwardOperator(sc)
         radius = op._support_radius([Image(sc.grid, np.ones((32, 32)))])
         longest = op.radii.shape[0]
         for j in range(sc.detectors.n_s):
+            monkeypatch.setattr(forward, "GATHER_BLOCK", longest * op.n_angles + 1)
+            (whole, _, _), = op._sample_blocks(j, radius)
+            monkeypatch.setattr(forward, "GATHER_BLOCK", 500)
             nodes = [node for node, _, _ in op._sample_blocks(j, radius)]
             assert len(nodes) > 1
             assert all(node.size <= 500 + longest for node in nodes)
-            np.testing.assert_array_equal(np.concatenate(nodes), _square_samples(op, j)[0])
+            np.testing.assert_array_equal(np.concatenate(nodes), whole)
+
+    @pytest.mark.parametrize(
+        "label, n, n_s, n_t",
+        [("A_limited_view", 64, 100, 400), ("B_sparse", 64, 20, 400),
+         ("C_limited_sparse", 64, 20, 400), ("C_limited_sparse", 24, 6, 60)],
+    )
+    def test_disk_clip_alone_keeps_the_slab_clipped_samples(self, label, n, n_s, n_t):
+        # on a generated phantom the support disk lies inside the padded
+        # square, so dropping the square's slab clip removes no sample
+        op = ForwardOperator(make_scenario(label, n=n, n_s=n_s, n_t=n_t))
+        for seed in (41, 42):
+            radius = op._support_radius([generate_phantom(PhantomParams(seed=seed), op.scenario.grid)])
+            for j in range(n_s):
+                blocks = list(op._sample_blocks(j, radius))
+                want = _slab_disk_samples(op, j, radius)
+                np.testing.assert_array_equal(np.concatenate([node for node, _, _ in blocks]), want[0])
+                np.testing.assert_array_equal(np.concatenate([idx for _, idx, _ in blocks], axis=1), want[1])
+                np.testing.assert_array_equal(np.concatenate([wts for _, _, wts in blocks], axis=1), want[2])
 
     @pytest.mark.parametrize("directivity", [True, False])
     def test_every_detector_gathers_fewer_samples(self, directivity):
