@@ -21,7 +21,6 @@ from .geometry import (
     ImageGrid,
     Scenario,
     TimeGrid,
-    directivity,
     make_detectors,
     make_scenario,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "WeightTensor",
     "circular_mean",
     "diff_image",
-    "directivity",
     "elastic_deform",
     "evaluate",
     "generate_phantom",

@@ -86,10 +86,10 @@ def _file_hashes(root: Path, names) -> dict:
 
 def cmd_gen_data(args) -> int:
     scenario, base_seed = _resolve_scenario(args)
+    # the operator validates its arguments before --out is created
+    op = ForwardOperator(scenario, n_angles=args.n_angles, n_r_per_dt=args.n_r_per_dt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    op = ForwardOperator(scenario, n_angles=args.n_angles, n_r_per_dt=args.n_r_per_dt)
     stems = [fileio.Dataset.stem(i) for i in range(args.count)]
     written = []
     try:
@@ -138,8 +138,6 @@ def cmd_train(args) -> int:
         datasets["heldout"] = fileio.Dataset.open(args.heldout)
     heldout_pairs = datasets["heldout"].pairs() if args.heldout else []
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     op = BackprojectionOperator.from_scenario(scenario)
     cfg = training.TrainConfig(
         epochs=args.epochs,
@@ -150,13 +148,17 @@ def cmd_train(args) -> int:
         checkpoint_every=args.checkpoint_every,
         weight_grid=args.weight_grid,
     )
+    out = Path(args.out)
     log_path = out / "train.log"
     run_path = out / "run.json"
-    # a re-run into the same directory starts a fresh log and record
-    log_path.unlink(missing_ok=True)
-    run_path.unlink(missing_ok=True)
 
     def checkpoint(epoch, weights):
+        if epoch == 0:
+            # fired once the initial weights and the learning rate are known;
+            # a re-run into the same directory starts a fresh log and record
+            out.mkdir(parents=True, exist_ok=True)
+            log_path.unlink(missing_ok=True)
+            run_path.unlink(missing_ok=True)
         fileio.write_patb(out / f"weights_epoch{epoch:04d}.patb", weights.values)
 
     def log(epoch, train_loss, heldout_loss, lr, wall):
@@ -243,9 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="learnedbp", description="backprojection toolkit with trainable weights")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, scenario_required=True):
+    def common(p, scenario_required=True, seed_help="base random seed (overrides config)"):
         p.add_argument("--scenario", required=scenario_required, help="scenario config file")
-        p.add_argument("--seed", type=int, default=None, help="base random seed (overrides config)")
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("gen-data", help="generate a paired phantom/sensor-data set")
@@ -258,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="learn backprojection weights by SGD")
-    common(p, scenario_required=False)
+    common(p, scenario_required=False, seed_help="shuffle seed (default 0; a config's seed sets phantom seeds only)")
     p.add_argument("--data", required=True, help="training dataset directory")
     p.add_argument("--heldout", default=None, help="held-out dataset directory")
     p.add_argument("--epochs", type=int, default=100)

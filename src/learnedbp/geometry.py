@@ -186,30 +186,12 @@ def make_detectors(
     return DetectorArray(positions, normals, arc_weight, radius)
 
 
-def directivity(normal, ray):
-    """Angle-dependent detector sensitivity in [0, 1].
-
-    ``normal`` is the outward detector normal, ``ray`` the unit direction
-    from the detector toward the source point.  With alpha the angle
-    between ``ray`` and the inward direction ``-normal``, the sensitivity
-    is cos(alpha)^2 for |alpha| < pi/2 and 0 beyond: the detector is most
-    sensitive facing the domain and blind toward its back side.  Both
-    arguments broadcast over a trailing axis of length 2.
-    """
-    normal = np.asarray(normal, dtype=np.float64)
-    ray = np.asarray(ray, dtype=np.float64)
-    for name, v in (("normal", normal), ("ray", ray)):
-        norms = np.sqrt(np.sum(v * v, axis=-1))
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ConfigError(f"directivity {name} must be a unit vector")
-    c = -np.sum(normal * ray, axis=-1)
-    out = np.where(c > 0.0, c * c, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def directivity_factors(normals: np.ndarray, rays: np.ndarray) -> np.ndarray:
-    """Unchecked cos^2 sensitivity table for unit ``normals`` (n_s, 2)
-    against unit ``rays`` (m, 2); returns (n_s, m)."""
+    """Detector sensitivity table for unit outward ``normals`` (n_s, 2)
+    against unit ``rays`` (m, 2) from the detector toward the source point;
+    returns (n_s, m).  With alpha the angle between a ray and the inward
+    direction -normal, the sensitivity is cos(alpha)^2 for |alpha| < pi/2
+    and 0 beyond.  Unit lengths are not checked."""
     c = -(normals @ rays.T)
     return np.where(c > 0.0, c * c, 0.0)
 

@@ -8,9 +8,11 @@ and held-out sample are computed once per run, before the learning-rate
 pre-scan.  Stored contributions are bounded by CONTRIB_CACHE_BYTES
 (n^2 * n_s * 8 bytes per sample, training samples first); samples past
 the budget recompute b at each use.  Training is plain SGD, batch size
-one by default, deterministic given the dataset and the config.  A step
-writes its gradient into one buffer allocated per run and updates the
-weights in place; the weight tensors it hands out own their arrays.
+one by default, deterministic given the dataset and the config.  One SGD
+pass serves the training epochs and the pre-scan's probe epochs alike: a
+step writes its gradient into one buffer and updates the weights in
+place.  Divergence is checked once per epoch; the weight tensors handed
+out own their arrays.
 """
 
 from __future__ import annotations
@@ -209,27 +211,19 @@ class _WeightParam:
 def _upsample_matrix(coarse: int, fine: int):
     """Sparse (fine^2, coarse^2) bilinear interpolation matrix between two
     pixel-center grids over the same square; edge-clamped so constants are
-    preserved exactly."""
+    preserved exactly.  It is the Kronecker square of the 1-D linear
+    interpolation matrix."""
     from scipy import sparse
 
     # fine pixel centers in coarse index coordinates
     pos = (np.arange(fine) + 0.5) * (coarse / fine) - 0.5
     i0 = np.clip(np.floor(pos).astype(np.int64), 0, coarse - 2)
     frac = np.clip(pos - i0, 0.0, 1.0)
-
-    rows_i, cols_i = np.meshgrid(np.arange(fine), np.arange(fine), indexing="ij")
-    entries = []
-    for di in (0, 1):
-        wi = np.where(di == 0, 1.0 - frac, frac)[rows_i]
-        for dj in (0, 1):
-            wj = np.where(dj == 0, 1.0 - frac, frac)[cols_i]
-            rows = (rows_i * fine + cols_i).ravel()
-            cols = ((i0[rows_i] + di) * coarse + (i0[cols_i] + dj)).ravel()
-            entries.append((rows, cols, (wi * wj).ravel()))
-    rows = np.concatenate([e[0] for e in entries])
-    cols = np.concatenate([e[1] for e in entries])
-    vals = np.concatenate([e[2] for e in entries])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(fine * fine, coarse * coarse))
+    # row i holds 1 - frac[i] at column i0[i] and frac[i] at i0[i] + 1
+    values = np.stack([1.0 - frac, frac], axis=1).ravel()
+    columns = np.stack([i0, i0 + 1], axis=1).ravel()
+    line = sparse.csr_matrix((values, columns, np.arange(0, 2 * fine + 1, 2)), shape=(fine, coarse))
+    return sparse.kron(line, line, format="csr")
 
 
 def epoch_order(shuffle_seed: int, epoch: int, n_samples: int) -> np.ndarray:
@@ -239,42 +233,61 @@ def epoch_order(shuffle_seed: int, epoch: int, n_samples: int) -> np.ndarray:
     return rng.permutation(n_samples)
 
 
+def _sgd_pass(param: _WeightParam, values: np.ndarray, pairs, stored: list, op: BackprojectionOperator,
+              order, batch_size: int, lr: float, grad_buf: np.ndarray) -> float:
+    """One SGD pass over ``pairs`` in ``order``, one step per ``batch_size``
+    samples, updating ``values`` in place; returns the sum of the
+    per-sample losses seen before each step.  Non-finite weights are left
+    for the caller to detect: a non-finite weight stays non-finite."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(order), batch_size):
+            batch = order[lo : lo + batch_size]
+            w = param.expand_values(values)
+            for i, k in enumerate(batch):
+                error, full = _step(w, _contrib(op, pairs, stored, k), pairs[k][1].values, out=grad_buf)
+                total += error
+                g = param.pull_back(full)
+                if i > 0:
+                    update += g
+                else:
+                    # the next gradient of the batch overwrites grad_buf
+                    update = g.copy() if g is grad_buf and len(batch) > 1 else g
+            update *= lr / len(batch)
+            values -= update
+    return total
+
+
 def prescan_learning_rate(param: _WeightParam, values: np.ndarray, pairs, op: BackprojectionOperator, stored=()) -> float:
     """Pick the default learning rate: one decade below the largest power of
-    ten for which a few probe steps on a few samples keep the loss finite and
-    decreasing.
+    ten for which a few probe epochs on a few samples keep the loss finite
+    and decreasing.
 
-    The probes are the first PROBE_SAMPLES pairs; ``stored`` holds the
-    contributions b of leading pairs already computed, the rest are
-    computed here once.
+    The probes are the first PROBE_SAMPLES pairs, each probe epoch one
+    :func:`_sgd_pass` over them in order with batch size one; ``stored``
+    holds the contributions b of leading pairs already computed, the rest
+    are computed here once.
 
     The backoff matters: the probes run a few dozen updates, but an epoch
     over a real training set runs hundreds, and a rate at the edge of
     stability can survive the former yet blow up mid-epoch."""
     probe = pairs[:PROBE_SAMPLES]
     contribs = [_contrib(op, probe, stored, k) for k in range(len(probe))]
-
-    def probe_loss(w):
-        return _mean_error(param.expand_values(w), probe, contribs, op)
-
-    base = probe_loss(values)
+    base = _mean_error(param.expand_values(values), probe, contribs, op)
     if base == 0.0:
         return 1e-6
+    grad_buf = np.empty((op.grid.n, op.grid.n, op.detectors.n_s))
     with np.errstate(over="ignore", invalid="ignore"):
         for exponent in range(2, -13, -1):
             lr = 10.0**exponent
-            w = values.copy()
-            prev = base
-            ok = True
+            w, prev = values.copy(), base
             for _ in range(PROBE_STEPS):
-                for (_, truth), b in zip(probe, contribs):
-                    w -= lr * param.pull_back(_step(param.expand_values(w), b, truth.values)[1])
-                current = probe_loss(w) if np.all(np.isfinite(w)) else np.inf
+                _sgd_pass(param, w, probe, contribs, op, range(len(probe)), 1, lr, grad_buf)
+                current = _mean_error(param.expand_values(w), probe, contribs, op) if np.all(np.isfinite(w)) else np.inf
                 if not np.isfinite(current) or current >= prev:
-                    ok = False
                     break
                 prev = current
-            if ok:
+            else:
                 return lr / 10.0
     raise DivergenceError("learning-rate pre-scan found no stable step size; data may be degenerate")
 
@@ -291,13 +304,13 @@ def sgd_train(
     """Train the weight tensor on ``train_pairs`` = [(SensorData, Image), ...].
 
     Per epoch: shuffle with a seed derived from (cfg.shuffle_seed, epoch),
-    take one gradient step per batch, record the running mean of the
-    per-sample losses seen during the epoch and the held-out loss after
-    it.  ``checkpoint(epoch, WeightTensor)`` fires every
-    ``cfg.checkpoint_every`` epochs (and for the initial tensor),
+    make one :func:`_sgd_pass` (a gradient step per batch), record the
+    running mean of the per-sample losses seen during the epoch and the
+    held-out loss after it.  ``checkpoint(epoch, WeightTensor)`` fires
+    every ``cfg.checkpoint_every`` epochs (and for the initial tensor),
     ``log(epoch, train_loss, heldout_loss, lr, wall_seconds)`` once per
-    epoch.  Raises DivergenceError as soon as an epoch loss goes
-    non-finite.
+    epoch.  Raises DivergenceError at the end of the first epoch whose
+    weights or loss are non-finite.
     """
     if len(train_pairs) == 0:
         raise ConfigError("training set is empty")
@@ -305,8 +318,8 @@ def sgd_train(
     # a copy, so the in-place updates below never write into the reader's array
     values = param.init_values(cfg.init, reader=weight_reader).copy()
 
-    train_b = _store_contribs(train_pairs, op, CONTRIB_CACHE_BYTES)
-    heldout_b = _store_contribs(heldout_pairs, op, CONTRIB_CACHE_BYTES - sum(b.nbytes for b in train_b))
+    stored = _store_contribs(list(train_pairs) + list(heldout_pairs), op, CONTRIB_CACHE_BYTES)
+    train_b, heldout_b = stored[: len(train_pairs)], stored[len(train_pairs) :]
 
     lr = cfg.learning_rate
     if lr is None:
@@ -320,27 +333,9 @@ def sgd_train(
     start = _time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
         order = epoch_order(cfg.shuffle_seed, epoch, len(train_pairs))
-        epoch_total = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(order), cfg.batch_size):
-                batch = order[lo : lo + cfg.batch_size]
-                w = param.expand_values(values)
-                for i, k in enumerate(batch):
-                    b = _contrib(op, train_pairs, train_b, k)
-                    error, full = _step(w, b, train_pairs[k][1].values, out=grad_buf)
-                    epoch_total += error
-                    g = param.pull_back(full)
-                    if i > 0:
-                        update += g
-                    else:
-                        # the next gradient of the batch overwrites grad_buf
-                        update = g.copy() if g is grad_buf and len(batch) > 1 else g
-                update *= lr / len(batch)
-                values -= update
-                if not np.all(np.isfinite(values)):
-                    raise DivergenceError(
-                        f"training diverged at epoch {epoch}; try a lower learning rate"
-                    )
+        epoch_total = _sgd_pass(param, values, train_pairs, train_b, op, order, cfg.batch_size, lr, grad_buf)
+        if not np.all(np.isfinite(values)):
+            raise DivergenceError(f"training diverged at epoch {epoch}; try a lower learning rate")
         train_loss = epoch_total / len(train_pairs)
         if not np.isfinite(train_loss):
             raise DivergenceError(

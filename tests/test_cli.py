@@ -304,6 +304,14 @@ def test_gen_data_removes_partial_output_on_failure(tmp_path, cfg_path, monkeypa
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value", [("--n-angles", "4"), ("--n-r-per-dt", "0")])
+def test_gen_data_bad_operator_argument_creates_no_out(tmp_path, cfg_path, flag, value):
+    out = tmp_path / "new" / "set"
+    rc = main(["gen-data", "--scenario", str(cfg_path), "--out", str(out), "--count", "1", flag, value])
+    assert rc == 2
+    assert not (tmp_path / "new").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -428,6 +436,34 @@ def test_train_resume_from_checkpoint_is_idempotent(tmp_path, train_dir):
                "--epochs", "0", "--init", str(final)])
     assert rc == 0
     assert (out_b / "weights_epoch0000.patb").read_bytes() == final.read_bytes()
+
+
+def test_train_touches_out_only_once_training_starts(tmp_path, train_dir):
+    out = tmp_path / "new"
+    assert main(["train", "--data", str(train_dir), "--out", str(out), "--batch-size", "0"]) == 2
+    assert not out.exists()
+
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(train_dir), "--out", str(run), "--epochs", "1", "--lr", "1e-4"]) == 0
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert {"train.log", "run.json"} <= set(before)
+    base = ["train", "--data", str(train_dir), "--out", str(run), "--epochs", "1", "--init"]
+    assert main(base + ["constant:abc"]) == 2
+    assert main(base + [str(tmp_path / "missing.patb")]) == 3
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+def test_train_shuffles_with_seed_flag_not_config_seed(tmp_path, train_dir, scenario):
+    cfg = tmp_path / "seed5.cfg"
+    fileio.save_scenario_cfg(cfg, scenario, seed=5)
+    args = ["train", "--data", str(train_dir), "--epochs", "2", "--checkpoint-every", "1", "--lr", "1e-4"]
+    with_cfg, without = tmp_path / "with_cfg", tmp_path / "without"
+    assert main(args + ["--scenario", str(cfg), "--out", str(with_cfg)]) == 0
+    assert main(args + ["--out", str(without)]) == 0
+    names = sorted(path.name for path in without.glob("*.patb"))
+    assert names == sorted(path.name for path in with_cfg.glob("*.patb"))
+    for name in names:
+        assert (with_cfg / name).read_bytes() == (without / name).read_bytes(), name
 
 
 def test_train_divergence_exit_code(tmp_path, train_dir, capsys):

@@ -40,3 +40,25 @@ def test_train_demo(tmp_path):
     for method in ("UBP", "weighted-UBP"):
         assert [method, "mean", "rel", "l2", "error"] in [row[:5] for row in rows]
     assert "improvement: " in out
+
+
+def test_cli_walkthrough(tmp_path):
+    # the script calls the installed `learnedbp` command; a shim on PATH
+    # runs the source tree's module instead
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "learnedbp"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m learnedbp.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    result = subprocess.run(
+        ["sh", str(ROOT / "demos" / "cli_walkthrough.sh")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    out = tmp_path / "walkthrough_out"
+    methods = [line.split(",")[1] for line in (out / "report.csv").read_text().splitlines()]
+    assert "UBP" in methods and "weighted-UBP" in methods
+    for name in ("recon_plain.pgm", "recon_weighted.pgm", "weights_det0.pgm"):
+        assert (out / name).read_bytes().startswith(b"P5")
+        assert (out / (name + ".txt")).is_file()

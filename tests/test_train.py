@@ -246,6 +246,23 @@ class TestSgdTrain:
         with pytest.raises(DivergenceError):
             sgd_train(train, [], cfg, op)
 
+    @pytest.mark.parametrize(
+        "overrides, epoch",
+        [({}, 1), ({"weight_grid": 4, "batch_size": 2}, 2)],
+        ids=["full-resolution", "weight-grid-batch-2"],
+    )
+    def test_divergence_raised_at_the_end_of_its_epoch(self, simulated_problem, overrides, epoch):
+        # a non-finite weight stays non-finite, so checking once per epoch
+        # raises in the epoch that checking after every step named; the
+        # coarse grid's two steps per epoch keep epoch 1 finite
+        sc, op, train, _ = simulated_problem
+        checkpoints, rows = [], []
+        cfg = TrainConfig(epochs=3, learning_rate=1e12, checkpoint_every=1, **overrides)
+        with pytest.raises(DivergenceError, match=rf"at epoch {epoch}\b"):
+            sgd_train(train, [], cfg, op, checkpoint=lambda e, w: checkpoints.append(e), log=lambda *row: rows.append(row))
+        assert checkpoints == list(range(epoch))
+        assert [row[0] for row in rows] == list(range(1, epoch))
+
     def test_empty_training_set_rejected(self, small_problem):
         sc, op, _ = small_problem
         with pytest.raises(ConfigError):
@@ -411,7 +428,41 @@ class TestPrescan:
         assert prescan_learning_rate(param, param.init_values("ones"), perfect, op) == 1e-6
 
 
+def _coo_upsample_matrix(coarse, fine):
+    """The interpolation matrix built entry by entry from its four bilinear
+    corners, as an oracle for the Kronecker construction."""
+    from scipy import sparse
+
+    pos = (np.arange(fine) + 0.5) * (coarse / fine) - 0.5
+    i0 = np.clip(np.floor(pos).astype(np.int64), 0, coarse - 2)
+    frac = np.clip(pos - i0, 0.0, 1.0)
+
+    rows_i, cols_i = np.meshgrid(np.arange(fine), np.arange(fine), indexing="ij")
+    entries = []
+    for di in (0, 1):
+        wi = np.where(di == 0, 1.0 - frac, frac)[rows_i]
+        for dj in (0, 1):
+            wj = np.where(dj == 0, 1.0 - frac, frac)[cols_i]
+            rows = (rows_i * fine + cols_i).ravel()
+            cols = ((i0[rows_i] + di) * coarse + (i0[cols_i] + dj)).ravel()
+            entries.append((rows, cols, (wi * wj).ravel()))
+    rows = np.concatenate([e[0] for e in entries])
+    cols = np.concatenate([e[1] for e in entries])
+    vals = np.concatenate([e[2] for e in entries])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(fine * fine, coarse * coarse))
+
+
 class TestUpsampleMatrix:
+    @pytest.mark.parametrize(
+        "coarse, fine", [(2, 16), (4, 12), (4, 16), (8, 32), (16, 64), (3, 64), (7, 67), (32, 256), (64, 64), (5, 3)]
+    )
+    def test_kronecker_square_matches_entrywise_build_bitwise(self, coarse, fine):
+        u, oracle = _upsample_matrix(coarse, fine), _coo_upsample_matrix(coarse, fine)
+        assert u.shape == oracle.shape
+        assert np.array_equal(u.indptr, oracle.indptr)
+        assert np.array_equal(u.indices, oracle.indices)
+        assert np.array_equal(_bits(u.data), _bits(oracle.data))
+
     def test_preserves_constants(self):
         u = _upsample_matrix(4, 16)
         out = u @ np.ones(16)
