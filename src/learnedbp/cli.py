@@ -54,8 +54,8 @@ def _nonnegative(kind):
 
 def _resolve_scenario(args, dataset=None):
     """Scenario from --scenario, falling back to (and cross-checked
-    against) the dataset's own config, and the base seed: --seed, else
-    the config's seed, else 0."""
+    against) the dataset's own config, and the base seed: --seed (on the
+    verbs that take it), else the config's seed, else 0."""
     scenario = cfg_seed = None
     if args.scenario is not None:
         scenario, cfg_seed = fileio.load_scenario_cfg(args.scenario)
@@ -68,7 +68,8 @@ def _resolve_scenario(args, dataset=None):
             )
     if scenario is None:
         raise ConfigError("--scenario is required for this command")
-    seed = args.seed if args.seed is not None else (cfg_seed if cfg_seed is not None else 0)
+    seed = getattr(args, "seed", None)
+    seed = seed if seed is not None else (cfg_seed if cfg_seed is not None else 0)
     return scenario, seed
 
 
@@ -245,13 +246,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="learnedbp", description="backprojection toolkit with trainable weights")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, scenario_required=True, seed_help="base random seed (overrides config)"):
+    def common(p, scenario_required=True, seed_help=None):
         p.add_argument("--scenario", required=scenario_required, help="scenario config file")
-        p.add_argument("--seed", type=int, default=None, help=seed_help)
+        if seed_help is not None:  # only the verbs that draw random numbers
+            p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("gen-data", help="generate a paired phantom/sensor-data set")
-    common(p)
+    common(p, seed_help="base random seed (overrides config)")
     p.add_argument("--count", type=_nonnegative(int), required=True, help="number of sample pairs")
     p.add_argument("--split", choices=("train", "test"), default="train")
     p.add_argument("--noise", type=_nonnegative(float), default=0.0, help="relative Gaussian noise level")
@@ -295,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_weights)
 
     p = sub.add_parser("phantom", help="emit one random phantom")
-    common(p)
+    common(p, seed_help="base random seed (overrides config)")
     p.set_defaults(func=cmd_phantom)
 
     return parser

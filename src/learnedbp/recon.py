@@ -14,13 +14,15 @@ per detector on a dense distance grid and read back by linear
 interpolation; an exact mode computes the closed-form quadrature at
 every pixel distance instead.
 
-Contributions are computed in blocks of PIXEL_BLOCK pixels, in both
-modes.  In table mode each block reads the table and its node-to-node
-steps with one flat gather per array, at offsets idx * n_s + j computed
-once per operator.  The weighted sum reduces each block as it is made,
-so a reconstruction holds one block of temporaries, never the whole
-(n^2, n_s) contributions; it checks each reduced block for finiteness,
-while contrib checks the whole tensor once.
+Contributions are made in two steps: tabulate filters one sample's data
+and, in table mode, tabulates the integral; gather reads a pixel block's
+b from that, in table mode by one flat gather of the table and one of
+its node-to-node steps at offsets idx * n_s + j computed once per
+operator.  contrib and apply work in blocks of PIXEL_BLOCK pixels.  The
+weighted sum reduces each block as it is made, so a reconstruction holds
+one block of temporaries, never the whole (n^2, n_s) contributions; it
+checks each reduced block for finiteness, while contrib checks the whole
+tensor once.
 """
 
 from __future__ import annotations
@@ -158,10 +160,10 @@ class BackprojectionOperator:
     evaluates the quadrature at each of them; table mode keeps their
     flat lookup offsets and fractions instead.
 
-    Contributions come from one generator, :meth:`_contrib_blocks`, in
-    blocks of PIXEL_BLOCK pixels; exact mode goes through the same blocks.
-    :meth:`contrib` writes the blocks into one tensor, while :meth:`apply`
-    reduces each block as it comes and never holds the whole of b.
+    Contributions come from :meth:`tabulate`, once per sample, and
+    :meth:`gather`, once per pixel block, in both modes.  :meth:`contrib`
+    writes PIXEL_BLOCK blocks into one tensor, while :meth:`apply` reduces
+    each block as it comes and never holds the whole of b.
     """
 
     def __init__(
@@ -221,34 +223,40 @@ class BackprojectionOperator:
         if abs(data.time.t_final - self.time.t_final) > 1e-12 * self.time.t_final:
             raise ShapeMismatchError("data time window does not match operator")
 
-    def _contrib_blocks(self, data: SensorData):
-        """Yield (pixel slice, b) for PIXEL_BLOCK pixels at a time, where b
-        holds those pixels' rows of the flattened (n^2, n_s) contributions."""
+    def tabulate(self, data: SensorData) -> np.ndarray:
+        """The per-sample part of b: the filtered data q in exact mode, else
+        the singular integral tabulated on the distance nodes, (n_d + 1, n_s)."""
         self._check(data)
         q = time_filter(data, self.sound_speed)
-        n_s = self.detectors.n_s
-        if not self.exact:
-            table = self._table_matrix @ q
-            step = table[1:] - table[:-1]
+        return q if self.exact else self._table_matrix @ q
+
+    def gather(self, table: np.ndarray, span: slice) -> np.ndarray:
+        """Rows ``span`` of the flattened (n^2, n_s) contributions b, read
+        from one sample's :meth:`tabulate` output."""
+        if self.exact:
+            b = np.empty_like(self.dist[span])
+            for j in range(self.detectors.n_s):
+                # a row-wise sum, not BLAS gemv, whose last bits depend
+                # on the row count and the thread split
+                a_mat = integral_weights(self.dist[span, j], self.time, self.sound_speed)
+                a_mat *= table[:, j]
+                b[:, j] = a_mat.sum(axis=1)
+        else:
+            # table[idx] + frac * (table[idx + 1] - table[idx]), gathered
+            # by flat offsets into the row-major (n_d, n_s) arrays
+            flat = self._flat[span]
+            b = (table[1:] - table[:-1]).take(flat)
+            b *= self._frac[span]
+            b += table.take(flat)
+        b *= self.geom[span]
+        return b
+
+    def _contrib_blocks(self, data: SensorData):
+        """Yield (pixel slice, b) for PIXEL_BLOCK pixels at a time."""
+        table = self.tabulate(data)
         for start in range(0, self.geom.shape[0], PIXEL_BLOCK):
             span = slice(start, start + PIXEL_BLOCK)
-            if self.exact:
-                b = np.empty_like(self.dist[span])
-                for j in range(n_s):
-                    # a row-wise sum, not BLAS gemv, whose last bits depend
-                    # on the row count and the thread split
-                    a_mat = integral_weights(self.dist[span, j], self.time, self.sound_speed)
-                    a_mat *= q[:, j]
-                    b[:, j] = a_mat.sum(axis=1)
-            else:
-                # table[idx] + frac * (table[idx + 1] - table[idx]), gathered
-                # by flat offsets into the row-major (n_d, n_s) arrays
-                flat = self._flat[span]
-                b = step.take(flat)
-                b *= self._frac[span]
-                b += table.take(flat)
-            b *= self.geom[span]
-            yield span, b
+            yield span, self.gather(table, span)
 
     def contrib(self, data: SensorData) -> ContribTensor:
         """Per-detector contributions b(x, s_j) for one data matrix."""
@@ -272,15 +280,16 @@ class BackprojectionOperator:
         return Image(self.grid, image.reshape(self.grid.n, self.grid.n))
 
     @staticmethod
-    def apply_values(w_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
-        """Weighted detector sum on raw arrays, no validation.
+    def apply_values(w_values: np.ndarray, b_values: np.ndarray, out=None) -> np.ndarray:
+        """Weighted detector sum on raw arrays, no validation; the product
+        W^2 b is formed in ``out`` when given.
 
         Kept as the single definition of the reduction: it matches
         ContribTensor.sum_image term for term, so W = 1 reproduces the
         unweighted sum bitwise (multiplying by 1.0 is exact), and the
         training loop can reuse it on not-yet-validated arrays.
         """
-        prod = np.square(w_values)
+        prod = np.square(w_values, out=out)
         prod *= b_values
         return prod.sum(axis=-1)
 

@@ -3,20 +3,21 @@
 The objective is the mean squared reconstruction error over a set of
 (sensor data, source image) pairs.  Because the reconstruction is
 sum_j W^2 b with b independent of W, the gradient has the closed form
-4 * (recon - truth) * W * b, and the contributions b of every training
-and held-out sample are computed once per run, before the learning-rate
-pre-scan.  Stored contributions are bounded by CONTRIB_CACHE_BYTES
-(n^2 * n_s * 8 bytes per sample, training samples first); samples past
-the budget recompute b at each use.  Training is plain SGD, batch size
-one by default, deterministic given the dataset and the config.  One SGD
-pass serves the training epochs and the pre-scan's probe epochs alike: a
-step writes its gradient into one buffer and updates the weights in
-place.  Divergence is checked once per epoch; the weight tensors handed
-out own their arrays.
+4 * (recon - truth) * W * b.  Full-resolution weights separate by
+pixel, so training tabulates each sample once per run, then, for each
+block of TRAIN_BLOCK pixels, gathers b once and runs every epoch on it;
+the weights are bitwise those of whole-image epochs.  The coarse weight
+grid couples pixels, so its one block is the whole image.  Training is
+plain SGD, batch size one by default, deterministic given the dataset
+and the config.  One SGD pass serves the training epochs and the
+pre-scan's probe epochs alike: a step writes its gradient into one
+buffer and updates the weights in place.  Divergence is checked once
+per epoch and block; the weight tensors handed out own their arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import time as _time
 from dataclasses import dataclass, field
 
@@ -29,8 +30,9 @@ from .recon import BackprojectionOperator, WeightTensor
 
 PROBE_SAMPLES = 5
 PROBE_STEPS = 5
-# memory for stored contributions b; samples past it recompute b at each use
-CONTRIB_CACHE_BYTES = 1 << 30
+# pixels per training block: every sample's b of one block, 1024 * n_s * 8
+# bytes each, stays in cache while all epochs run on it
+TRAIN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -120,41 +122,28 @@ def grad(weights: WeightTensor, pair, op: BackprojectionOperator) -> np.ndarray:
 
 def _step(w: np.ndarray, b: np.ndarray, truth: np.ndarray, gradient: bool = True, out=None):
     """Squared error ||sum_j w^2 b - f||^2 of one sample on raw arrays and,
-    unless ``gradient`` is false, its gradient 4 * residual * w * b, written
-    into ``out`` when given."""
-    residual = BackprojectionOperator.apply_values(w, b) - truth
+    unless ``gradient`` is false, its gradient 4 * residual * w * b; both
+    the product w^2 b and the gradient are written into ``out`` when given."""
+    residual = BackprojectionOperator.apply_values(w, b, out=out) - truth
     error = float((residual**2).sum())
     if not gradient:
         return error, None
-    full = np.multiply(4.0 * residual[:, :, None], w, out=out)
+    full = np.multiply(4.0 * residual[..., None], w, out=out)
     full *= b
     return error, full
 
 
-def _store_contribs(pairs, op: BackprojectionOperator, budget: int) -> list:
-    """b of the leading pairs whose arrays fit in ``budget`` bytes."""
-    count = min(len(pairs), budget // (op.grid.n * op.grid.n * op.detectors.n_s * 8))
-    return [op.contrib(data).values for data, _ in pairs[:count]]
-
-
-def _contrib(op: BackprojectionOperator, pairs, stored: list, k: int) -> np.ndarray:
-    """b of ``pairs[k]``: the stored array, or recomputed past the budget."""
-    return stored[k] if k < len(stored) else op.contrib(pairs[k][0]).values
-
-
-def _mean_error(w: np.ndarray, pairs, stored: list, op: BackprojectionOperator) -> float:
-    """:func:`loss` of ``pairs`` at the raw weights ``w``, reading stored b."""
-    total = 0.0
-    for k, (_, truth) in enumerate(pairs):
-        total += _step(w, _contrib(op, pairs, stored, k), truth.values, gradient=False)[0]
-    return total / len(pairs)
+def _sum_error(w: np.ndarray, contribs: list, truths: list, out: np.ndarray) -> float:
+    """Sum over samples of the squared error at the raw weights ``w``."""
+    return sum(_step(w, b, truth, gradient=False, out=out)[0] for b, truth in zip(contribs, truths))
 
 
 class _WeightParam:
     """Trainable parameterization of the weight tensor.
 
+    Parameters and weights are flat, one row of n_s values per pixel.
     Full resolution by default; with a coarse grid the parameters live on
-    m x m x n_s and the applied tensor is their bilinear upsampling, so
+    m^2 rows and the applied weights are their bilinear upsampling, so
     gradients pull back through the (sparse) interpolation matrix.
     """
 
@@ -162,21 +151,18 @@ class _WeightParam:
         self.grid = grid
         self.n_s = n_s
         self.coarse = coarse
-        if coarse is None:
-            self.upsample = None
-        else:
-            self.upsample = _upsample_matrix(coarse, grid.n)
+        self.upsample = None if coarse is None else _upsample_matrix(coarse, grid.n)
 
     def init_values(self, init: str, reader=None) -> np.ndarray:
         side = self.grid.n if self.coarse is None else self.coarse
         if init == "ones":
-            return np.ones((side, side, self.n_s))
+            return np.ones((side * side, self.n_s))
         if init.startswith("constant:"):
             try:
                 kappa = float(init.split(":", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"bad constant init {init!r}") from exc
-            return np.full((side, side, self.n_s), kappa)
+            return np.full((side * side, self.n_s), kappa)
         if reader is None:
             raise ConfigError(f"unknown init {init!r}")
         values = reader(init)
@@ -184,28 +170,23 @@ class _WeightParam:
             raise ShapeMismatchError(
                 f"resume weights shape {values.shape} does not match expected {(side, side, self.n_s)}"
             )
-        return values
+        return values.reshape(side * side, self.n_s)
 
     def expand_values(self, values: np.ndarray) -> np.ndarray:
         """Raw upsampled array; no finiteness validation, safe mid-training."""
         if self.upsample is None:
             return values
-        n = self.grid.n
-        flat = self.upsample @ values.reshape(self.coarse * self.coarse, self.n_s)
-        return flat.reshape(n, n, self.n_s)
+        return self.upsample @ values
 
     def expand(self, values: np.ndarray) -> WeightTensor:
         """Validated tensor that owns its array, so that later in-place
         updates of ``values`` do not reach it."""
-        expanded = self.expand_values(values)
-        return WeightTensor(expanded.copy() if expanded is values else expanded, self.grid)
+        return WeightTensor(self.expand_values(values).reshape(self.grid.n, self.grid.n, self.n_s).copy(), self.grid)
 
     def pull_back(self, full_grad: np.ndarray) -> np.ndarray:
         if self.upsample is None:
             return full_grad
-        n = self.grid.n
-        flat = self.upsample.T @ full_grad.reshape(n * n, self.n_s)
-        return flat.reshape(self.coarse, self.coarse, self.n_s)
+        return self.upsample.T @ full_grad
 
 
 def _upsample_matrix(coarse: int, fine: int):
@@ -233,19 +214,19 @@ def epoch_order(shuffle_seed: int, epoch: int, n_samples: int) -> np.ndarray:
     return rng.permutation(n_samples)
 
 
-def _sgd_pass(param: _WeightParam, values: np.ndarray, pairs, stored: list, op: BackprojectionOperator,
+def _sgd_pass(param: _WeightParam, values: np.ndarray, contribs: list, truths: list,
               order, batch_size: int, lr: float, grad_buf: np.ndarray) -> float:
-    """One SGD pass over ``pairs`` in ``order``, one step per ``batch_size``
-    samples, updating ``values`` in place; returns the sum of the
-    per-sample losses seen before each step.  Non-finite weights are left
-    for the caller to detect: a non-finite weight stays non-finite."""
+    """One SGD pass over the samples with b ``contribs`` and ``truths`` in
+    ``order``, a step per ``batch_size`` samples, updating ``values`` in
+    place; returns the sum of the per-sample losses seen before each step.
+    Non-finite weights are left for the caller: they stay non-finite."""
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(order), batch_size):
             batch = order[lo : lo + batch_size]
             w = param.expand_values(values)
             for i, k in enumerate(batch):
-                error, full = _step(w, _contrib(op, pairs, stored, k), pairs[k][1].values, out=grad_buf)
+                error, full = _step(w, contribs[k], truths[k], out=grad_buf)
                 total += error
                 g = param.pull_back(full)
                 if i > 0:
@@ -258,32 +239,32 @@ def _sgd_pass(param: _WeightParam, values: np.ndarray, pairs, stored: list, op: 
     return total
 
 
-def prescan_learning_rate(param: _WeightParam, values: np.ndarray, pairs, op: BackprojectionOperator, stored=()) -> float:
+def prescan_learning_rate(param: _WeightParam, values: np.ndarray, pairs, op: BackprojectionOperator) -> float:
     """Pick the default learning rate: one decade below the largest power of
     ten for which a few probe epochs on a few samples keep the loss finite
     and decreasing.
 
-    The probes are the first PROBE_SAMPLES pairs, each probe epoch one
-    :func:`_sgd_pass` over them in order with batch size one; ``stored``
-    holds the contributions b of leading pairs already computed, the rest
-    are computed here once.
+    The probes are the first PROBE_SAMPLES pairs, whole images, each probe
+    epoch one :func:`_sgd_pass` over them in order with batch size one.
 
     The backoff matters: the probes run a few dozen updates, but an epoch
     over a real training set runs hundreds, and a rate at the edge of
     stability can survive the former yet blow up mid-epoch."""
     probe = pairs[:PROBE_SAMPLES]
-    contribs = [_contrib(op, probe, stored, k) for k in range(len(probe))]
-    base = _mean_error(param.expand_values(values), probe, contribs, op)
+    contribs = [op.contrib(data).values.reshape(-1, op.detectors.n_s) for data, _ in probe]
+    truths = [truth.values.reshape(-1) for _, truth in probe]
+    grad_buf = np.empty_like(contribs[0])
+    base = _sum_error(param.expand_values(values), contribs, truths, grad_buf) / len(probe)
     if base == 0.0:
         return 1e-6
-    grad_buf = np.empty((op.grid.n, op.grid.n, op.detectors.n_s))
     with np.errstate(over="ignore", invalid="ignore"):
         for exponent in range(2, -13, -1):
             lr = 10.0**exponent
             w, prev = values.copy(), base
             for _ in range(PROBE_STEPS):
-                _sgd_pass(param, w, probe, contribs, op, range(len(probe)), 1, lr, grad_buf)
-                current = _mean_error(param.expand_values(w), probe, contribs, op) if np.all(np.isfinite(w)) else np.inf
+                _sgd_pass(param, w, contribs, truths, range(len(probe)), 1, lr, grad_buf)
+                finite = np.all(np.isfinite(w))
+                current = _sum_error(param.expand_values(w), contribs, truths, grad_buf) / len(probe) if finite else np.inf
                 if not np.isfinite(current) or current >= prev:
                     break
                 prev = current
@@ -303,53 +284,70 @@ def sgd_train(
 ) -> TrainState:
     """Train the weight tensor on ``train_pairs`` = [(SensorData, Image), ...].
 
-    Per epoch: shuffle with a seed derived from (cfg.shuffle_seed, epoch),
-    make one :func:`_sgd_pass` (a gradient step per batch), record the
-    running mean of the per-sample losses seen during the epoch and the
-    held-out loss after it.  ``checkpoint(epoch, WeightTensor)`` fires
-    every ``cfg.checkpoint_every`` epochs (and for the initial tensor),
-    ``log(epoch, train_loss, heldout_loss, lr, wall_seconds)`` once per
-    epoch.  Raises DivergenceError at the end of the first epoch whose
-    weights or loss are non-finite.
+    Per pixel block (see the module docstring) and epoch: shuffle with a
+    seed derived from (cfg.shuffle_seed, epoch), make one :func:`_sgd_pass`
+    and score the held-out samples.  An epoch's training loss (the running
+    mean of its per-sample losses), held-out loss and wall time (SGD and
+    held-out scoring only) are sums over blocks.  ``checkpoint(epoch,
+    WeightTensor)`` fires for the initial tensor, then, once every block
+    is done, from a snapshot kept per checkpoint epoch (every
+    ``cfg.checkpoint_every`` and the last); ``log(epoch, train_loss,
+    heldout_loss, lr, wall_seconds_so_far)`` once per epoch.  Raises
+    DivergenceError naming the first epoch in which any block's weights
+    or loss are non-finite, after the callbacks of the epochs before it.
     """
     if len(train_pairs) == 0:
         raise ConfigError("training set is empty")
-    param = _WeightParam(op.grid, op.detectors.n_s, cfg.weight_grid)
+    n, n_s, n_train = op.grid.n, op.detectors.n_s, len(train_pairs)
+    param = _WeightParam(op.grid, n_s, cfg.weight_grid)
     # a copy, so the in-place updates below never write into the reader's array
     values = param.init_values(cfg.init, reader=weight_reader).copy()
-
-    stored = _store_contribs(list(train_pairs) + list(heldout_pairs), op, CONTRIB_CACHE_BYTES)
-    train_b, heldout_b = stored[: len(train_pairs)], stored[len(train_pairs) :]
-
+    initial = param.expand(values)  # validated before the pre-scan trains on it
     lr = cfg.learning_rate
     if lr is None:
-        lr = prescan_learning_rate(param, values, train_pairs, op, stored=train_b)
-
-    state = TrainState(weights=param.expand(values), learning_rate=lr)
+        lr = prescan_learning_rate(param, values, train_pairs, op)
     if checkpoint is not None:
-        checkpoint(0, state.weights)
+        checkpoint(0, initial)
 
-    grad_buf = np.empty((op.grid.n, op.grid.n, op.detectors.n_s))
-    start = _time.monotonic()
-    for epoch in range(1, cfg.epochs + 1):
-        order = epoch_order(cfg.shuffle_seed, epoch, len(train_pairs))
-        epoch_total = _sgd_pass(param, values, train_pairs, train_b, op, order, cfg.batch_size, lr, grad_buf)
-        if not np.all(np.isfinite(values)):
-            raise DivergenceError(f"training diverged at epoch {epoch}; try a lower learning rate")
-        train_loss = epoch_total / len(train_pairs)
-        if not np.isfinite(train_loss):
-            raise DivergenceError(
-                f"training diverged at epoch {epoch} (loss {train_loss}); try a lower learning rate"
-            )
-        weights = param.expand(values)
-        heldout = _mean_error(weights.values, heldout_pairs, heldout_b, op) if len(heldout_pairs) else float("nan")
-        state.weights = weights
-        state.epoch = epoch
-        state.train_losses.append(train_loss)
-        state.heldout_losses.append(heldout)
-        cadence_hit = cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0
-        if checkpoint is not None and (cadence_hit or epoch == cfg.epochs):
-            checkpoint(epoch, weights)
+    samples = list(train_pairs) + list(heldout_pairs)
+    tables = [op.tabulate(data) for data, _ in samples]
+    truths = [truth.values.reshape(-1) for _, truth in samples]
+    every = cfg.checkpoint_every or cfg.epochs  # without a cadence, the last epoch only
+    kept = [e for e in range(1, cfg.epochs + 1) if e % every == 0 or e == cfg.epochs]
+    snapshots = {epoch: np.empty((n * n, n_s)) for epoch in kept} if checkpoint is not None else {}
+    train_sums, heldout_sums, walls = [0.0] * cfg.epochs, [0.0] * cfg.epochs, [0.0] * cfg.epochs
+    # the epochs that every block has finished with finite weights and loss
+    done = cfg.epochs
+    size = TRAIN_BLOCK if cfg.weight_grid is None else n * n
+    for start in range(0, n * n, size):
+        span = slice(start, start + size)
+        # a full-resolution block is rows of the weights, updated in place
+        params = values[span] if cfg.weight_grid is None else values
+        contribs = [op.gather(table, span) for table in tables]
+        block_truths = [truth[span] for truth in truths]
+        grad_buf = np.empty_like(contribs[0])
+        for epoch in range(1, done + 1):
+            clock = _time.monotonic()
+            order = epoch_order(cfg.shuffle_seed, epoch, n_train)
+            total = _sgd_pass(param, params, contribs, block_truths, order, cfg.batch_size, lr, grad_buf)
+            if not (np.isfinite(total) and np.all(np.isfinite(params))):
+                done = epoch - 1
+                break
+            w = param.expand_values(params)
+            train_sums[epoch - 1] += total
+            heldout_sums[epoch - 1] += _sum_error(w, contribs[n_train:], block_truths[n_train:], grad_buf)
+            walls[epoch - 1] += _time.monotonic() - clock
+            if epoch in snapshots:
+                snapshots[epoch][span] = w
+
+    heldout = [total / len(heldout_pairs) if heldout_pairs else float("nan") for total in heldout_sums[:done]]
+    state = TrainState(initial, done, [total / n_train for total in train_sums[:done]], heldout, lr)
+    for epoch, wall in zip(range(1, done + 1), itertools.accumulate(walls)):
+        if epoch in snapshots:
+            checkpoint(epoch, WeightTensor(snapshots.pop(epoch).reshape(n, n, n_s), op.grid))
         if log is not None:
-            log(epoch, train_loss, heldout, lr, _time.monotonic() - start)
+            log(epoch, state.train_losses[epoch - 1], state.heldout_losses[epoch - 1], lr, wall)
+    if done < cfg.epochs:
+        raise DivergenceError(f"training diverged at epoch {done + 1}; try a lower learning rate")
+    state.weights = param.expand(values)
     return state

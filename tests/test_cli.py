@@ -153,6 +153,22 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
 # re-running a verb into the same --out
 
 
+@pytest.mark.parametrize("verb", ["reconstruct", "evaluate", "export-weights"])
+def test_verbs_without_randomness_reject_seed(tmp_path, cfg_path, train_dir, ones_weights, verb, capsys):
+    argv = {
+        "reconstruct": ["reconstruct", "--scenario", str(cfg_path), "--ones",
+                        "--data", str(train_dir / "data_00000.patb"), "--out", str(tmp_path / "r")],
+        "evaluate": ["evaluate", "--data", str(train_dir), "--weights", str(ones_weights),
+                     "--out", str(tmp_path / "report.csv")],
+        "export-weights": ["export-weights", "--weights", str(ones_weights), "--detector", "1",
+                           "--out", str(tmp_path / "slice.pgm")],
+    }[verb]
+    assert main(argv + ["--seed", "5"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv) == 0
+
+
 def _same_bytes_as_fresh(rerun_dir, fresh_dir):
     fresh = sorted(p.relative_to(fresh_dir) for p in fresh_dir.rglob("*") if p.is_file())
     assert fresh
@@ -472,6 +488,15 @@ def test_train_divergence_exit_code(tmp_path, train_dir, capsys):
                "--epochs", "2", "--lr", "1e12"])
     assert rc == 4
     assert "diverged" in capsys.readouterr().err
+
+
+def test_train_non_finite_init_is_a_data_error_before_the_prescan(tmp_path, train_dir, capsys):
+    # without --lr the pre-scan would run first and report no stable rate
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(train_dir), "--out", str(out), "--epochs", "1", "--init", "constant:nan"])
+    assert rc == 2
+    assert "weights must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_scenario_mismatch(tmp_path, train_dir):

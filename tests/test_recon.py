@@ -225,6 +225,9 @@ class TestBackprojection:
         assert np.array_equal(b, expected)
         w = np.random.default_rng(11).standard_normal(b.shape)
         assert np.array_equal(BackprojectionOperator.apply_values(w, b), (w**2 * b).sum(axis=2))
+        buf = np.empty_like(b)
+        assert np.array_equal(BackprojectionOperator.apply_values(w, b, out=buf), (w**2 * b).sum(axis=2))
+        assert np.array_equal(buf, w**2 * b)
 
     def test_exact_mode_close_to_table(self):
         sc = _scenario(n=24, n_s=5, n_t=80)
@@ -308,6 +311,33 @@ class TestPixelBlocks:
             monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
             assert np.array_equal(_bits(op.contrib(data).values), _bits(b.values))
             assert np.array_equal(_bits(op.apply(weights, data).values), _bits(image))
+
+    @pytest.mark.parametrize("start, stop", [(0, 4096), (0, 1), (1000, 1007), (4096, 4489), (4480, 5000)])
+    def test_gather_matches_the_step_table_expression_bitwise(self, start, stop):
+        # the gather as it was before tabulating and gathering were split:
+        # the table and its node-to-node steps, both made once per sample
+        n, n_s = 67, 3
+        sc = _scenario(n=n, n_s=n_s, n_t=40)
+        op = BackprojectionOperator.from_scenario(sc)
+        data = _smooth_data(sc, seed=16)
+        table = op._table_matrix @ time_filter(data, op.sound_speed)
+        step = table[1:] - table[:-1]
+        span = slice(start, stop)
+        flat = op._flat[span]
+        expected = step.take(flat) * op._frac[span] + table.take(flat)
+        expected *= op.geom[span]
+        assert np.array_equal(_bits(op.gather(op.tabulate(data), span)), _bits(expected))
+
+    def test_exact_gather_matches_contrib_rows_bitwise(self):
+        n, n_s = 20, 3
+        sc = _scenario(n=n, n_s=n_s, n_t=40)
+        op = BackprojectionOperator.from_scenario(sc, exact=True)
+        data = _smooth_data(sc, seed=17)
+        b = op.contrib(data).values.reshape(-1, n_s)
+        q = op.tabulate(data)
+        assert np.array_equal(_bits(q), _bits(time_filter(data, op.sound_speed)))
+        for span in (slice(0, 7), slice(7, 300), slice(390, 400), slice(0, n * n)):
+            assert np.array_equal(_bits(op.gather(q, span)), _bits(b[span]))
 
     def test_apply_holds_less_than_one_contribution_tensor(self):
         sc = make_scenario("B_sparse", n=256, n_s=20, n_t=400)

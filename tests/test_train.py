@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,19 +100,20 @@ class TestGradient:
         data, truth = pairs[1]
         param = _WeightParam(sc.grid, sc.detectors.n_s, coarse=4)
         rng = np.random.default_rng(7)
-        values = rng.uniform(0.5, 1.5, size=(4, 4, sc.detectors.n_s))
-        g = param.pull_back(grad(param.expand(values), (data, truth), op))
+        # the parameters are flat, one row per coarse pixel
+        values = rng.uniform(0.5, 1.5, size=(16, sc.detectors.n_s))
+        g = param.pull_back(grad(param.expand(values), (data, truth), op).reshape(-1, sc.detectors.n_s))
         assert g.shape == values.shape
 
         eps = 1e-6
         for i, j, k in ((0, 0, 0), (2, 3, 1), (3, 1, 2)):
             bumped = values.copy()
-            bumped[i, j, k] += eps
+            bumped[4 * i + j, k] += eps
             up = sample_loss(param.expand(bumped), data, truth, op)
-            bumped[i, j, k] -= 2.0 * eps
+            bumped[4 * i + j, k] -= 2.0 * eps
             down = sample_loss(param.expand(bumped), data, truth, op)
             fd = (up - down) / (2.0 * eps)
-            assert fd == pytest.approx(g[i, j, k], rel=1e-4, abs=1e-10)
+            assert fd == pytest.approx(g[4 * i + j, k], rel=1e-4, abs=1e-10)
 
 
 class TestLoss:
@@ -290,16 +292,18 @@ def _bits(values):
 def _reference_sgd(train, heldout, cfg, op):
     """SGD and its learning-rate pre-scan from their definitions, calling
     op.contrib afresh at every use; returns (weights, train losses,
-    held-out losses, learning rate)."""
-    param = _WeightParam(op.grid, op.detectors.n_s, cfg.weight_grid)
+    held-out losses, learning rate).  The arithmetic runs on whole
+    (n, n, n_s) images; only the parameterization's flat rows are shared."""
+    n, n_s = op.grid.n, op.detectors.n_s
+    param = _WeightParam(op.grid, n_s, cfg.weight_grid)
     values = param.init_values(cfg.init)
 
     def error_and_grad(v, pair):
         data, truth = pair
-        w = param.expand_values(v)
+        w = param.expand_values(v).reshape(n, n, n_s)
         b = op.contrib(data).values
         residual = op.apply_values(w, b) - truth.values
-        return float((residual**2).sum()), param.pull_back(4.0 * residual[:, :, None] * w * b)
+        return float((residual**2).sum()), param.pull_back((4.0 * residual[:, :, None] * w * b).reshape(-1, n_s))
 
     def mean_error(v, pairs):
         total = 0.0
@@ -339,26 +343,21 @@ def _reference_sgd(train, heldout, cfg, op):
             values = values - (lr / len(batch)) * step
         train_losses.append(total / len(train))
         heldout_losses.append(mean_error(values, heldout))
-    return param.expand_values(values), train_losses, heldout_losses, lr
+    return param.expand_values(values).reshape(n, n, n_s), train_losses, heldout_losses, lr
 
 
 class TestStoredContributions:
+    """Training from per-sample tables, pixel block by pixel block, against
+    the whole-image reference."""
+
     @pytest.mark.parametrize(
-        "overrides, stored_samples",
-        [
-            ({}, None),
-            ({"weight_grid": 4, "batch_size": 2, "shuffle_seed": 3}, None),
-            ({"batch_size": 3, "shuffle_seed": 5}, 1),
-        ],
-        ids=["full-resolution", "weight-grid-batch-2", "one-sample-budget"],
+        "overrides",
+        [{}, {"weight_grid": 4, "batch_size": 2, "shuffle_seed": 3}],
+        ids=["full-resolution", "weight-grid-batch-2"],
     )
-    def test_matches_reference_recomputing_every_step_bitwise(
-        self, simulated_problem, monkeypatch, overrides, stored_samples
-    ):
+    def test_matches_reference_recomputing_every_step_bitwise(self, simulated_problem, overrides):
+        # n^2 = 256 pixels fit one block, so the losses are bitwise too
         sc, op, train, heldout = simulated_problem
-        if stored_samples is not None:
-            per_sample = sc.grid.n * sc.grid.n * sc.detectors.n_s * 8
-            monkeypatch.setattr(training, "CONTRIB_CACHE_BYTES", stored_samples * per_sample)
         cfg = TrainConfig(epochs=3, **overrides)
         state = sgd_train(train, heldout, cfg, op)
         weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op)
@@ -367,19 +366,85 @@ class TestStoredContributions:
         assert state.heldout_losses == heldout_losses
         assert state.learning_rate == lr
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("block", [1, 7, 257])
+    def test_matches_reference_for_any_block_size(self, simulated_problem, monkeypatch, block, batch_size, exact):
+        # 256 pixels: 256 blocks, 37 blocks (the last of 4 pixels), one block
+        sc, _, train, heldout = simulated_problem
+        op = BackprojectionOperator.from_scenario(sc, exact=exact)
+        monkeypatch.setattr(training, "TRAIN_BLOCK", block)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=5)
+        state = sgd_train(train, heldout, cfg, op)
+        weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op)
+        assert np.array_equal(_bits(state.weights.values), _bits(weights))
+        assert state.learning_rate == lr
+        if block > sc.grid.n**2:
+            assert state.train_losses == train_losses
+            assert state.heldout_losses == heldout_losses
+        else:
+            # sums over blocks add the same terms in another order
+            assert state.train_losses == pytest.approx(train_losses, rel=1e-13, abs=0)
+            assert state.heldout_losses == pytest.approx(heldout_losses, rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("epochs", [0, 1, 4])
-    def test_contributions_are_computed_once_per_sample(self, simulated_problem, monkeypatch, epochs):
+    @pytest.mark.parametrize("rate", [None, 1e-3], ids=["prescan", "given-rate"])
+    def test_tables_are_built_once_per_sample(self, simulated_problem, monkeypatch, epochs, rate):
+        # the pre-scan makes its probes' whole-image b through contrib
         sc, op, train, heldout = simulated_problem
         calls = []
-        contrib = op.contrib
+        tabulate = op.tabulate
 
         def counting(data):
             calls.append(data)
-            return contrib(data)
+            return tabulate(data)
 
-        monkeypatch.setattr(op, "contrib", counting)
-        sgd_train(train, heldout, TrainConfig(epochs=epochs), op)
-        assert len(calls) == len(train) + len(heldout)
+        monkeypatch.setattr(op, "tabulate", counting)
+        monkeypatch.setattr(training, "TRAIN_BLOCK", 100)
+        sgd_train(train, heldout, TrainConfig(epochs=epochs, learning_rate=rate), op)
+        probes = min(PROBE_SAMPLES, len(train)) if rate is None else 0
+        assert len(calls) == len(train) + len(heldout) + probes
+
+    def test_divergence_in_the_last_block_stops_like_one_block(self, simulated_problem, monkeypatch):
+        # zero weights have zero gradient, so only the last block's rows
+        # move; at this rate they overflow in epoch 4
+        sc, op, train, heldout = simulated_problem
+        init = np.zeros((sc.grid.n, sc.grid.n, sc.detectors.n_s))
+        init[12:] = 1.0
+        cfg = TrainConfig(epochs=6, learning_rate=3.0, init="resume.patb", checkpoint_every=1)
+        runs = []
+        for block in (64, sc.grid.n**2):
+            monkeypatch.setattr(training, "TRAIN_BLOCK", block)
+            checkpoints, rows = [], []
+            with pytest.raises(DivergenceError) as info:
+                sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: checkpoints.append((e, _bits(w.values))),
+                          log=lambda *row: rows.append(row), weight_reader=lambda path: init)
+            runs.append((str(info.value), checkpoints, rows))
+        (message, checkpoints, rows), (one_message, one_checkpoints, one_rows) = runs
+        assert "at epoch 4;" in one_message and message == one_message
+        assert [e for e, _ in checkpoints] == [e for e, _ in one_checkpoints] == [0, 1, 2, 3]
+        for (_, bits), (_, one_bits) in zip(checkpoints, one_checkpoints):
+            assert np.array_equal(bits, one_bits)
+        assert [row[0] for row in rows] == [row[0] for row in one_rows] == [1, 2, 3]
+        for row, one_row in zip(rows, one_rows):
+            assert row[1:3] == pytest.approx(one_row[1:3], rel=1e-13, abs=0)
+            assert row[3] == one_row[3]
+
+    def test_holds_less_than_every_sample_b(self, monkeypatch):
+        # 16 samples' b take 16 * 32^2 * 16 * 8 B = 2 MB; training holds
+        # their tables (1/6 of that), one block of b and the weights
+        sc = _scenario(n=32, n_s=16, n_t=40)
+        op = BackprojectionOperator.from_scenario(sc)
+        pairs = [_random_pair(sc, seed) for seed in range(16)]
+        monkeypatch.setattr(training, "TRAIN_BLOCK", 128)
+        all_b = len(pairs) * sc.grid.n**2 * sc.detectors.n_s * 8
+        tracemalloc.start()
+        try:
+            sgd_train(pairs[:12], pairs[12:], TrainConfig(epochs=2, learning_rate=1e-3), op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < all_b
 
 
 class TestInPlaceUpdate:
@@ -400,6 +465,27 @@ class TestInPlaceUpdate:
         assert np.all(kept[0][2] == 1.0)
         assert not np.array_equal(kept[1][2], kept[0][2])
         assert np.array_equal(_bits(state.weights.values), _bits(kept[-1][2]))
+
+    def test_one_step_allocates_no_contribution_sized_array(self):
+        # the product w^2 b and the gradient both go into the buffer; what
+        # is left is per-pixel vectors and numpy's fixed 64 KB loop buffer
+        sc = _scenario(n=64, n_s=20, n_t=40)
+        op = BackprojectionOperator.from_scenario(sc)
+        data, truth = _random_pair(sc, 3)
+        b = op.contrib(data).values.reshape(-1, 20)
+        w = np.random.default_rng(4).uniform(0.5, 1.5, b.shape)
+        f = truth.values.reshape(-1)
+        buf = np.empty_like(b)
+        expected = training._step(w, b, f)
+        tracemalloc.start()
+        try:
+            error, full = training._step(w, b, f, out=buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full is buf
+        assert error == expected[0] and np.array_equal(_bits(full), _bits(expected[1]))
+        assert peak < b.nbytes / 3
 
     def test_resumed_weights_are_not_written(self, simulated_problem):
         sc, op, train, heldout = simulated_problem
