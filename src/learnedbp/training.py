@@ -4,20 +4,21 @@ The objective is the mean squared reconstruction error over a set of
 (sensor data, source image) pairs.  Because the reconstruction is
 sum_j W^2 b with b independent of W, the gradient has the closed form
 4 * (recon - truth) * W * b.  Full-resolution weights separate by
-pixel, so training tabulates each sample once per run, then, for each
-block of TRAIN_BLOCK pixels, gathers b once and runs every epoch on it;
-the weights are bitwise those of whole-image epochs.  The coarse weight
-grid couples pixels, so its one block is the whole image.  Training is
-plain SGD, batch size one by default, deterministic given the dataset
-and the config.  One SGD pass serves the training epochs and the
-pre-scan's probe epochs alike: a step writes its gradient into one
-buffer and updates the weights in place.  Divergence is checked once
-per epoch and block; the weight tensors handed out own their arrays.
+pixel, so training tabulates each sample once per run and trains block
+by block of TRAIN_BLOCK pixels: the epochs run in segments that end at
+the checkpoint epochs, and per segment and block b is gathered once.
+The weights are bitwise those of whole-image epochs.  The coarse weight
+grid couples pixels, so its one block is the whole image, gathered once
+per run.  Training is plain SGD, batch size one by default,
+deterministic given the dataset and the config.  One SGD pass serves
+the training epochs and the pre-scan's probe epochs alike: a step
+writes its gradient into one buffer and updates the weights in place.
+Divergence is checked once per epoch and block; the weight tensors
+handed out own their arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 import time as _time
 from dataclasses import dataclass, field
 
@@ -239,22 +240,21 @@ def _sgd_pass(param: _WeightParam, values: np.ndarray, contribs: list, truths: l
     return total
 
 
-def prescan_learning_rate(param: _WeightParam, values: np.ndarray, pairs, op: BackprojectionOperator) -> float:
+def prescan_learning_rate(param: _WeightParam, values: np.ndarray, contribs: list, truths: list) -> float:
     """Pick the default learning rate: one decade below the largest power of
     ten for which a few probe epochs on a few samples keep the loss finite
     and decreasing.
 
-    The probes are the first PROBE_SAMPLES pairs, whole images, each probe
+    The probes are given by their whole-image b ``contribs`` and flat
+    ``truths`` (sgd_train passes its first PROBE_SAMPLES), each probe
     epoch one :func:`_sgd_pass` over them in order with batch size one.
 
     The backoff matters: the probes run a few dozen updates, but an epoch
     over a real training set runs hundreds, and a rate at the edge of
     stability can survive the former yet blow up mid-epoch."""
-    probe = pairs[:PROBE_SAMPLES]
-    contribs = [op.contrib(data).values.reshape(-1, op.detectors.n_s) for data, _ in probe]
-    truths = [truth.values.reshape(-1) for _, truth in probe]
+    probe = len(contribs)
     grad_buf = np.empty_like(contribs[0])
-    base = _sum_error(param.expand_values(values), contribs, truths, grad_buf) / len(probe)
+    base = _sum_error(param.expand_values(values), contribs, truths, grad_buf) / probe
     if base == 0.0:
         return 1e-6
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,9 +262,9 @@ def prescan_learning_rate(param: _WeightParam, values: np.ndarray, pairs, op: Ba
             lr = 10.0**exponent
             w, prev = values.copy(), base
             for _ in range(PROBE_STEPS):
-                _sgd_pass(param, w, contribs, truths, range(len(probe)), 1, lr, grad_buf)
+                _sgd_pass(param, w, contribs, truths, range(probe), 1, lr, grad_buf)
                 finite = np.all(np.isfinite(w))
-                current = _sum_error(param.expand_values(w), contribs, truths, grad_buf) / len(probe) if finite else np.inf
+                current = _sum_error(param.expand_values(w), contribs, truths, grad_buf) / probe if finite else np.inf
                 if not np.isfinite(current) or current >= prev:
                     break
                 prev = current
@@ -284,70 +284,81 @@ def sgd_train(
 ) -> TrainState:
     """Train the weight tensor on ``train_pairs`` = [(SensorData, Image), ...].
 
-    Per pixel block (see the module docstring) and epoch: shuffle with a
-    seed derived from (cfg.shuffle_seed, epoch), make one :func:`_sgd_pass`
-    and score the held-out samples.  An epoch's training loss (the running
-    mean of its per-sample losses), held-out loss and wall time (SGD and
-    held-out scoring only) are sums over blocks.  ``checkpoint(epoch,
-    WeightTensor)`` fires for the initial tensor, then, once every block
-    is done, from a snapshot kept per checkpoint epoch (every
-    ``cfg.checkpoint_every`` and the last); ``log(epoch, train_loss,
-    heldout_loss, lr, wall_seconds_so_far)`` once per epoch.  Raises
+    The epochs run in segments, each ending at a checkpoint epoch (every
+    ``cfg.checkpoint_every`` and the last).  Per segment, pixel block (see
+    the module docstring) and epoch: shuffle with a seed derived from
+    (cfg.shuffle_seed, epoch), make one :func:`_sgd_pass` and score the
+    held-out samples; an epoch's losses and wall time (SGD and scoring
+    only) are sums over blocks.  ``checkpoint(epoch, WeightTensor)`` fires
+    for the initial tensor once every sample is checked, then at the end
+    of each segment; ``log(epoch, train_loss, heldout_loss, lr,
+    wall_seconds_so_far)`` for each epoch of a finished segment.  Raises
     DivergenceError naming the first epoch in which any block's weights
     or loss are non-finite, after the callbacks of the epochs before it.
     """
     if len(train_pairs) == 0:
         raise ConfigError("training set is empty")
-    n, n_s, n_train = op.grid.n, op.detectors.n_s, len(train_pairs)
-    param = _WeightParam(op.grid, n_s, cfg.weight_grid)
+    n, n_train = op.grid.n, len(train_pairs)
+    param = _WeightParam(op.grid, op.detectors.n_s, cfg.weight_grid)
     # a copy, so the in-place updates below never write into the reader's array
     values = param.init_values(cfg.init, reader=weight_reader).copy()
-    initial = param.expand(values)  # validated before the pre-scan trains on it
-    lr = cfg.learning_rate
-    if lr is None:
-        lr = prescan_learning_rate(param, values, train_pairs, op)
-    if checkpoint is not None:
-        checkpoint(0, initial)
-
+    state = TrainState(param.expand(values))  # validated before the pre-scan trains on it
     samples = list(train_pairs) + list(heldout_pairs)
+    # every sample is checked here, before any callback may write
     tables = [op.tabulate(data) for data, _ in samples]
     truths = [truth.values.reshape(-1) for _, truth in samples]
-    every = cfg.checkpoint_every or cfg.epochs  # without a cadence, the last epoch only
-    kept = [e for e in range(1, cfg.epochs + 1) if e % every == 0 or e == cfg.epochs]
-    snapshots = {epoch: np.empty((n * n, n_s)) for epoch in kept} if checkpoint is not None else {}
-    train_sums, heldout_sums, walls = [0.0] * cfg.epochs, [0.0] * cfg.epochs, [0.0] * cfg.epochs
-    # the epochs that every block has finished with finite weights and loss
-    done = cfg.epochs
     size = TRAIN_BLOCK if cfg.weight_grid is None else n * n
-    for start in range(0, n * n, size):
-        span = slice(start, start + size)
-        # a full-resolution block is rows of the weights, updated in place
-        params = values[span] if cfg.weight_grid is None else values
-        contribs = [op.gather(table, span) for table in tables]
-        block_truths = [truth[span] for truth in truths]
-        grad_buf = np.empty_like(contribs[0])
-        for epoch in range(1, done + 1):
-            clock = _time.monotonic()
-            order = epoch_order(cfg.shuffle_seed, epoch, n_train)
-            total = _sgd_pass(param, params, contribs, block_truths, order, cfg.batch_size, lr, grad_buf)
-            if not (np.isfinite(total) and np.all(np.isfinite(params))):
-                done = epoch - 1
-                break
-            w = param.expand_values(params)
-            train_sums[epoch - 1] += total
-            heldout_sums[epoch - 1] += _sum_error(w, contribs[n_train:], block_truths[n_train:], grad_buf)
-            walls[epoch - 1] += _time.monotonic() - clock
-            if epoch in snapshots:
-                snapshots[epoch][span] = w
+    spans = [slice(start, start + size) for start in range(0, n * n, size)]
+    if len(spans) == 1:
+        # the one block's b is gathered once, each replacing its sample's table
+        for k, table in enumerate(tables):
+            tables[k] = op.gather(table, spans[0])
+        contribs, tables = tables, []
+    lr = cfg.learning_rate
+    if lr is None:
+        # the probes' whole-image b: with one block, the b just gathered
+        k = min(PROBE_SAMPLES, n_train)
+        probes = contribs[:k] if len(spans) == 1 else [op.gather(table, slice(None)) for table in tables[:k]]
+        lr = prescan_learning_rate(param, values, probes, truths[:k])
+        del probes  # several blocks gather their own b below
+    state.learning_rate = lr
+    if checkpoint is not None:
+        checkpoint(0, state.weights)
 
-    heldout = [total / len(heldout_pairs) if heldout_pairs else float("nan") for total in heldout_sums[:done]]
-    state = TrainState(initial, done, [total / n_train for total in train_sums[:done]], heldout, lr)
-    for epoch, wall in zip(range(1, done + 1), itertools.accumulate(walls)):
-        if epoch in snapshots:
-            checkpoint(epoch, WeightTensor(snapshots.pop(epoch).reshape(n, n, n_s), op.grid))
-        if log is not None:
-            log(epoch, state.train_losses[epoch - 1], state.heldout_losses[epoch - 1], lr, wall)
-    if done < cfg.epochs:
-        raise DivergenceError(f"training diverged at epoch {done + 1}; try a lower learning rate")
-    state.weights = param.expand(values)
+    every = cfg.checkpoint_every or cfg.epochs or 1  # without a cadence, one segment
+    wall = 0.0
+    for first in range(1, cfg.epochs + 1, every):
+        last = done = min(first + every - 1, cfg.epochs)
+        train_sums, heldout_sums, walls = [[0.0] * (last - first + 1) for _ in range(3)]
+        for span in spans:
+            if len(spans) > 1:  # several blocks gather their b again each segment
+                contribs = [op.gather(table, span) for table in tables]
+            # a full-resolution block is rows of the weights, updated in place
+            params = values[span] if cfg.weight_grid is None else values
+            block_truths = [truth[span] for truth in truths]
+            grad_buf = np.empty_like(contribs[0])
+            for epoch in range(first, done + 1):
+                clock = _time.monotonic()
+                order = epoch_order(cfg.shuffle_seed, epoch, n_train)
+                total = _sgd_pass(param, params, contribs, block_truths, order, cfg.batch_size, lr, grad_buf)
+                if not (np.isfinite(total) and np.all(np.isfinite(params))):
+                    done = epoch - 1  # later blocks stop before this epoch
+                    break
+                w = param.expand_values(params)
+                train_sums[epoch - first] += total
+                heldout_sums[epoch - first] += _sum_error(w, contribs[n_train:], block_truths[n_train:], grad_buf)
+                walls[epoch - first] += _time.monotonic() - clock
+        for epoch in range(first, done + 1):
+            wall += walls[epoch - first]
+            state.epoch = epoch
+            state.train_losses.append(train_sums[epoch - first] / n_train)
+            state.heldout_losses.append(heldout_sums[epoch - first] / len(heldout_pairs) if heldout_pairs else float("nan"))
+            if epoch == last:
+                state.weights = param.expand(values)
+                if checkpoint is not None:
+                    checkpoint(epoch, state.weights)
+            if log is not None:
+                log(epoch, state.train_losses[-1], state.heldout_losses[-1], lr, wall)
+        if done < last:
+            raise DivergenceError(f"training diverged at epoch {done + 1}; try a lower learning rate")
     return state

@@ -469,6 +469,24 @@ def test_train_touches_out_only_once_training_starts(tmp_path, train_dir):
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
+@pytest.mark.parametrize("rate", [["--lr", "1e-4"], []], ids=["given-rate", "prescan"])
+def test_train_heldout_of_another_shape_leaves_out_untouched(tmp_path, train_dir, rate, capsys):
+    # only the training set is checked against the scenario up front; every
+    # held-out sample must be checked before epoch 0's checkpoint clears --out
+    cfg = tmp_path / "long.cfg"
+    fileio.save_scenario_cfg(cfg, make_scenario("B_sparse", n=N, n_s=N_S, n_t=N_T + 10))
+    heldout = tmp_path / "heldout"
+    assert main(["gen-data", "--scenario", str(cfg), "--out", str(heldout), "--count", "1", "--split", "test"]) == 0
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(train_dir), "--out", str(run), "--epochs", "1", "--lr", "1e-4"]) == 0
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    capsys.readouterr()
+    argv = ["train", "--data", str(train_dir), "--heldout", str(heldout), "--out", str(run), "--epochs", "2"]
+    assert main(argv + rate) == 2
+    assert "does not match operator" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
 def test_train_shuffles_with_seed_flag_not_config_seed(tmp_path, train_dir, scenario):
     cfg = tmp_path / "seed5.cfg"
     fileio.save_scenario_cfg(cfg, scenario, seed=5)

@@ -390,7 +390,7 @@ class TestStoredContributions:
     @pytest.mark.parametrize("epochs", [0, 1, 4])
     @pytest.mark.parametrize("rate", [None, 1e-3], ids=["prescan", "given-rate"])
     def test_tables_are_built_once_per_sample(self, simulated_problem, monkeypatch, epochs, rate):
-        # the pre-scan makes its probes' whole-image b through contrib
+        # the pre-scan gathers its probes' whole-image b from the same tables
         sc, op, train, heldout = simulated_problem
         calls = []
         tabulate = op.tabulate
@@ -402,8 +402,7 @@ class TestStoredContributions:
         monkeypatch.setattr(op, "tabulate", counting)
         monkeypatch.setattr(training, "TRAIN_BLOCK", 100)
         sgd_train(train, heldout, TrainConfig(epochs=epochs, learning_rate=rate), op)
-        probes = min(PROBE_SAMPLES, len(train)) if rate is None else 0
-        assert len(calls) == len(train) + len(heldout) + probes
+        assert len(calls) == len(train) + len(heldout)
 
     def test_divergence_in_the_last_block_stops_like_one_block(self, simulated_problem, monkeypatch):
         # zero weights have zero gradient, so only the last block's rows
@@ -430,17 +429,43 @@ class TestStoredContributions:
             assert row[1:3] == pytest.approx(one_row[1:3], rel=1e-13, abs=0)
             assert row[3] == one_row[3]
 
-    def test_holds_less_than_every_sample_b(self, monkeypatch):
+    @pytest.mark.parametrize("rate", [None, 1e-3], ids=["prescan", "given-rate"])
+    def test_segments_write_their_checkpoints_before_the_next_segment_runs(self, simulated_problem, monkeypatch,
+                                                                           rate):
+        # 256 pixels in 3 blocks; with a cadence of 2, epochs 1-2, 3-4 and
+        # 5 are segments, each gathering every sample's b once per block
+        sc, op, train, heldout = simulated_problem
+        events = []
+        gather = op.gather
+
+        def counting(table, span):
+            if span != slice(None):  # the pre-scan's whole-image probes
+                events.append("g")
+            return gather(table, span)
+
+        monkeypatch.setattr(op, "gather", counting)
+        monkeypatch.setattr(training, "TRAIN_BLOCK", 100)
+        cfg = TrainConfig(epochs=5, learning_rate=rate, checkpoint_every=2)
+        sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: events.append(f"c{e}"),
+                  log=lambda e, *rest: events.append(f"l{e}"))
+        segment = ["g"] * (3 * (len(train) + len(heldout)))
+        assert events == (["c0"] + segment + ["l1", "c2", "l2"] + segment + ["l3", "c4", "l4"]
+                          + segment + ["c5", "l5"])
+
+    @pytest.mark.parametrize("cadence", [0, 1], ids=["last-epoch", "every-epoch"])
+    def test_holds_less_than_every_sample_b(self, monkeypatch, cadence):
         # 16 samples' b take 16 * 32^2 * 16 * 8 B = 2 MB; training holds
-        # their tables (1/6 of that), one block of b and the weights
+        # their tables (1/6 of that), one block of b and the weights, and
+        # no more with a checkpoint each of 8 epochs (131 kB of weights each)
         sc = _scenario(n=32, n_s=16, n_t=40)
         op = BackprojectionOperator.from_scenario(sc)
         pairs = [_random_pair(sc, seed) for seed in range(16)]
         monkeypatch.setattr(training, "TRAIN_BLOCK", 128)
         all_b = len(pairs) * sc.grid.n**2 * sc.detectors.n_s * 8
+        cfg = TrainConfig(epochs=8, learning_rate=1e-3, checkpoint_every=cadence)
         tracemalloc.start()
         try:
-            sgd_train(pairs[:12], pairs[12:], TrainConfig(epochs=2, learning_rate=1e-3), op)
+            sgd_train(pairs[:12], pairs[12:], cfg, op, checkpoint=lambda e, w: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,7 +526,10 @@ class TestPrescan:
     def test_returns_power_of_ten(self, simulated_problem):
         sc, op, train, _ = simulated_problem
         param = _WeightParam(sc.grid, sc.detectors.n_s, None)
-        lr = prescan_learning_rate(param, param.init_values("ones"), train, op)
+        probes = train[:PROBE_SAMPLES]
+        contribs = [op.contrib(data).values.reshape(-1, sc.detectors.n_s) for data, _ in probes]
+        truths = [truth.values.reshape(-1) for _, truth in probes]
+        lr = prescan_learning_rate(param, param.init_values("ones"), contribs, truths)
         assert lr > 0
         assert math.isclose(10 ** round(math.log10(lr)), lr, rel_tol=1e-12)
 
@@ -509,9 +537,10 @@ class TestPrescan:
         sc, op, pairs = small_problem
         data, _ = pairs[0]
         w = WeightTensor.ones(sc.grid, sc.detectors.n_s)
-        perfect = [(data, op.apply(w, data))]
         param = _WeightParam(sc.grid, sc.detectors.n_s, None)
-        assert prescan_learning_rate(param, param.init_values("ones"), perfect, op) == 1e-6
+        b = op.contrib(data).values.reshape(-1, sc.detectors.n_s)
+        truth = op.apply(w, data).values.reshape(-1)
+        assert prescan_learning_rate(param, param.init_values("ones"), [b], [truth]) == 1e-6
 
 
 def _coo_upsample_matrix(coarse, fine):
