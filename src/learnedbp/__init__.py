@@ -15,7 +15,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fileio import Dataset, load_scenario_cfg, read_patb, read_pgm, save_scenario_cfg, write_patb, write_pgm
-from .forward import ForwardOperator, SensorData, circular_mean
+from .forward import ForwardOperator, SensorData
 from .geometry import (
     DetectorArray,
     ImageGrid,
@@ -52,7 +52,6 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "WeightTensor",
-    "circular_mean",
     "diff_image",
     "elastic_deform",
     "evaluate",

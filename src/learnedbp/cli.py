@@ -29,6 +29,10 @@ EXIT_DATA = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
+# gen-data simulates this many images per simulate_batch call; an image's
+# data do not depend on the batch, and the batch's cell tables grow with it
+GEN_CHUNK = 8
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; the interface here
@@ -94,16 +98,17 @@ def cmd_gen_data(args) -> int:
     stems = [fileio.Dataset.stem(i) for i in range(args.count)]
     written = []
     try:
-        for i in range(args.count):
-            phantom = generate_phantom(PhantomParams(seed=base_seed + i), scenario.grid)
-            data = op.simulate(phantom)
-            if args.noise > 0:
-                rng = np.random.default_rng([base_seed + i, 0x6E])
-                scale = args.noise * np.abs(data.values).max()
-                noisy = data.values + rng.normal(0.0, scale, data.values.shape)
-                data = SensorData(noisy, scenario.time, scenario.detectors)
-            written.extend(fileio.Dataset.sample_paths(out, stems[i]))
-            fileio.write_sample(out, i, phantom, data)
+        for lo in range(0, args.count, GEN_CHUNK):
+            chunk = range(lo, min(lo + GEN_CHUNK, args.count))
+            phantoms = [generate_phantom(PhantomParams(seed=base_seed + i), scenario.grid) for i in chunk]
+            for i, phantom, data in zip(chunk, phantoms, op.simulate_batch(phantoms)):
+                if args.noise > 0:
+                    rng = np.random.default_rng([base_seed + i, 0x6E])
+                    scale = args.noise * np.abs(data.values).max()
+                    noisy = data.values + rng.normal(0.0, scale, data.values.shape)
+                    data = SensorData(noisy, scenario.time, scenario.detectors)
+                written.extend(fileio.Dataset.sample_paths(out, stems[i]))
+                fileio.write_sample(out, i, phantom, data)
         written.append(out / fileio.Dataset.SCENARIO)
         fileio.atomic_write_bytes(out / fileio.Dataset.SCENARIO, Path(args.scenario).read_bytes())
         written.append(out / fileio.Dataset.MANIFEST)

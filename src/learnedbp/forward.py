@@ -9,18 +9,22 @@ time with finite differences.  Detector directivity multiplies each
 angular sample by the cos^2 sensitivity of the receiving detector.
 
 The image is read with bilinear interpolation, zero outside the grid.
-Each image is padded by one zero pixel so the 4-tap stencil needs no
-per-tap mask; a sample beyond the padded border reads only zero pixels.
-Each ray from a detector is clipped to the batch's support disk (the
-farthest nonzero pixel centre plus h*sqrt(2)), and angles of
-directivity 0 are skipped.  Every sample left out would add exactly 0
-to its radial bin, so the sums are bitwise those of gathering the whole
-square.  The samples are gathered in blocks of whole rays of about
-GATHER_BLOCK samples, each added into the bins in order, so the
-simulator's working memory does not grow with the grid or depend on the
-images' support.  Each image then gets its own Abel product, a plain sum
-in column order over the quadrature matrix's CSR staircase, so its data
-do not depend on the batch and the product starts no BLAS threads.
+Each image is turned once into a table of its cells' bilinear
+polynomials (see :func:`cell_table`), padded with cells of zeros, so a
+circle sample is one cell index and two fractional offsets, and reading
+it is one gather and a few products; a sample on or beyond the padded
+border reads a cell of zeros.  Each ray from a detector is clipped to
+the batch's support disk (the farthest nonzero pixel centre plus
+h*sqrt(2)), and angles of directivity 0 are skipped.  Every sample left
+out would add exactly 0 to its radial bin, so the sums are bitwise
+those of gathering the whole square.  The samples are gathered in
+blocks of whole rays of about GATHER_BLOCK samples, each added into the
+bins in order, so the simulator's working memory does not grow with the
+grid or depend on the images' support, and an image's sums do not
+depend on the block size.  Each image then gets its own Abel product, a
+plain sum in column order over the quadrature matrix's CSR staircase,
+so its data do not depend on the batch and the product starts no BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ import scipy.sparse
 
 from .errors import ConfigError, ShapeMismatchError
 from .geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, directivity_factors
-from .phantoms import Image, bilinear_stencil, sample_bilinear_values, zero_pad
+from .phantoms import Image
 
 DEFAULT_N_R_PER_DT = 4
-# circle samples gathered at once: about 10 MB of stencil and temporaries
+# circle samples gathered at once: a few MB of geometry and temporaries
 GATHER_BLOCK = 1 << 16
 
 
@@ -67,33 +71,30 @@ def circle_nodes(n_angles: int) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
-def circular_mean(img: Image, center, radius: float, normal=None, n_angles: int | None = None) -> float:
-    """Mean of ``img`` over the circle of ``radius`` around ``center``.
+def cell_table(values: np.ndarray) -> np.ndarray:
+    """Bilinear coefficients of every cell of an (n, n) image, as
+    (4, (n + 2)**2).
 
-    Uniform trapezoid quadrature over the full angle range (which on a
-    periodic interval is the plain average of ``n_angles`` samples); the
-    image is read with bilinear interpolation and is zero outside the
-    grid.  When ``normal`` (the detector's outward normal) is given, each
-    sample is weighted by the cos^2 directivity of the ray from ``center``
-    toward it, so the result is the directional mean
-    (1/2pi) * integral of f(center + r*omega) * phi(omega) d(omega).
-    ``radius = 0`` returns the interpolated image value at ``center``.
+    Cell (i, j) spans the pixel centres i, i + 1 (rows) and j, j + 1
+    (columns) of the image padded by one zero pixel on the top and left
+    and two on the bottom and right, so a point at padded coordinate
+    (i + fr, j + fc) with fr, fc in [0, 1] reads
+    c0 + fc*c1 + fr*(c2 + fc*c3).  Row and column n + 1 are cells of
+    zeros, so a coordinate clamped to n + 1 needs no clamp of its cell.
     """
-    if n_angles is None:
-        n_angles = default_n_angles(img.grid)
-    if radius < 0:
-        raise ConfigError("radius must be nonnegative")
-    if n_angles < 8:
-        raise ConfigError("need at least 8 angular nodes")
-    center = np.asarray(center, dtype=np.float64)
-    if radius == 0.0:
-        return float(sample_bilinear_values(img.values, img.grid, center))
-    omega = circle_nodes(n_angles)
-    vals = sample_bilinear_values(img.values, img.grid, center[None, :] + radius * omega)
-    if normal is not None:
-        normal = np.asarray(normal, dtype=np.float64)
-        vals = vals * directivity_factors(normal[None, :], omega)[0]
-    return float(vals.mean())
+    n = values.shape[0]
+    padded = np.zeros((n + 3, n + 3))
+    padded[1 : n + 1, 1 : n + 1] = values
+    f00, f01 = padded[:-1, :-1], padded[:-1, 1:]
+    f10, f11 = padded[1:, :-1], padded[1:, 1:]
+    table = np.empty((4, n + 2, n + 2))
+    table[0] = f00
+    np.subtract(f01, f00, out=table[1])
+    np.subtract(f10, f00, out=table[2])
+    np.subtract(f11, f10, out=table[3])
+    table[3] -= f01
+    table[3] += f00
+    return table.reshape(4, -1)
 
 
 def abel_weights(tau: np.ndarray, r: np.ndarray, nodes_per_sample: int) -> np.ndarray:
@@ -185,9 +186,10 @@ class ForwardOperator:
         self.phi = directivity_factors(det.normals, self.omega) if scenario.directivity_enabled else None
 
     def _support_radius(self, images) -> float:
-        """Radius outside which every stencil reads only zero pixels of
-        ``images``: the farthest nonzero pixel centre plus h*sqrt(2), the
-        farthest a tap lies from its sample point; -1 if all are zero."""
+        """Radius outside which every cell a sample reads holds only zero
+        pixels of ``images``: the farthest nonzero pixel centre plus
+        h*sqrt(2), the farthest a cell corner lies from a sample point in
+        it; -1 if all are zero."""
         grid = self.scenario.grid
         dist = np.hypot(grid.axis_x()[None, :], grid.axis_y()[:, None])
         far = max((dist[img.values != 0].max(initial=-1.0) for img in images), default=-1.0)
@@ -201,10 +203,12 @@ class ForwardOperator:
         chord r^2 + 2r(p_j . omega_a) + |p_j|^2 - radius^2 <= 0.  Only the
         radial nodes inside it, widened by one node at each end, are
         sampled; rays that miss the disk or have directivity 0 get none.
-        Yields their radial node indices and their stencil (indices into
-        the padded image and weights, with the directivity folded in).
+        Yields their radial node indices, their flat cell indices into a
+        :func:`cell_table`, the fractional row and column offsets in the
+        cell, and their directivity (None when it is disabled).
         """
         grid = self.scenario.grid
+        n, h = grid.n, grid.spacing
         pos = self.scenario.detectors.positions[j]
         b = self.omega @ pos
         disc = b * b - pos @ pos + radius * radius
@@ -225,38 +229,61 @@ class ForwardOperator:
         offset = np.cumsum(count) - count
         cuts = np.flatnonzero(np.diff(offset // GATHER_BLOCK)) + 1
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, self.n_angles]):
-            n = count[lo:hi]
+            m = count[lo:hi]
             # node index of each sample: consecutive along every clipped ray
-            skip = np.cumsum(n) - n - first[lo:hi]
-            node = np.arange(n.sum()) - np.repeat(skip, n)
+            skip = np.cumsum(m) - m - first[lo:hi]
+            node = np.arange(m.sum()) - np.repeat(skip, m)
             r = self.radii[node]
-            x = np.repeat(self.omega[lo:hi, 0], n)
-            x *= r
-            x += pos[0]
-            y = np.repeat(self.omega[lo:hi, 1], n)
-            y *= r
-            y += pos[1]
-            idx, wts = bilinear_stencil(grid, x, y)
-            if self.phi is not None:
-                wts *= np.repeat(self.phi[j, lo:hi], n)
-            yield node, idx, wts
+            # padded pixel coordinates, clamped to [0, n + 1]: a point on or
+            # beyond the padded border lands in a cell of zeros
+            fc = np.repeat(self.omega[lo:hi, 0], m)
+            fc *= r
+            fc += pos[0]
+            fc += grid.extent
+            fr = np.repeat(self.omega[lo:hi, 1], m)
+            fr *= r
+            fr += pos[1]
+            np.subtract(grid.extent, fr, out=fr)
+            for c in (fc, fr):
+                c /= h
+                c += 0.5
+                np.clip(c, 0.0, n + 1.0, out=c)
+            i0 = fr.astype(np.int64)
+            j0 = fc.astype(np.int64)
+            fr -= i0
+            fc -= j0
+            cell = i0
+            cell *= n + 2
+            cell += j0
+            phi = None if self.phi is None else np.repeat(self.phi[j, lo:hi], m)
+            yield node, cell, fr, fc, phi
 
-    def _tables(self, j: int, radius: float, padded) -> np.ndarray:
+    def _tables(self, j: int, radius: float, cells) -> np.ndarray:
         """Radius-weighted directional circular means around detector
-        ``j`` at every radial node, one row per zero-padded flat image.
+        ``j`` at every radial node, one row per :func:`cell_table`.
 
         Each block's samples are added into their bins in order, the same
         sequence of additions a single np.bincount of all of them makes."""
-        sums = np.zeros((len(padded), self.radii.shape[0]))
-        for node, idx, wts in self._sample_blocks(j, radius):
-            for k, image in enumerate(padded):
-                np.add.at(sums[k], node, np.einsum("qm,qm->m", image.take(idx), wts))
+        sums = np.zeros((len(cells), self.radii.shape[0]))
+        for node, cell, fr, fc, phi in self._sample_blocks(j, radius):
+            for k, table in enumerate(cells):
+                c0, c1, c2, c3 = table.take(cell, axis=1)
+                # c0 + fc*c1 + fr*(c2 + fc*c3), in place
+                c3 *= fc
+                c3 += c2
+                c3 *= fr
+                c1 *= fc
+                c1 += c0
+                c1 += c3
+                if phi is not None:
+                    c1 *= phi
+                np.add.at(sums[k], node, c1)
         return self.radii * sums / self.n_angles
 
     def mean_table(self, img: Image, j: int) -> np.ndarray:
         """Directional circular means of ``img`` around detector ``j`` at
         every radial node, already multiplied by the radius."""
-        return self._tables(j, self._support_radius([img]), [zero_pad(img.values)])[0]
+        return self._tables(j, self._support_radius([img]), [cell_table(img.values)])[0]
 
     def simulate(self, img: Image) -> SensorData:
         return self.simulate_batch([img])[0]
@@ -271,9 +298,9 @@ class ForwardOperator:
             if img.grid != grid:
                 raise ShapeMismatchError(f"image grid {img.grid} does not match scenario grid {grid}")
         radius = self._support_radius(images)
-        padded = [zero_pad(img.values) for img in images]
+        cells = [cell_table(img.values) for img in images]
         tables = np.empty((len(images), self.radii.shape[0], det.n_s))
         for j in range(det.n_s):
-            tables[:, :, j] = self._tables(j, radius, padded)
+            tables[:, :, j] = self._tables(j, radius, cells)
         return [SensorData(time_derivative(self.abel @ table, time.dt), time, det) for table in tables]
 

@@ -209,66 +209,3 @@ def elastic_deform(img: Image, seed: int, alpha: float, sigma: float) -> Image:
         raise ConfigError("sigma must be positive")
     return Image(img.grid, _deform_values(img.values, seed, alpha, sigma))
 
-
-def zero_pad(values: np.ndarray) -> np.ndarray:
-    """Images (..., n, n) padded by one zero pixel on every side and
-    flattened to (..., (n+2)**2), the layout :func:`bilinear_stencil`
-    indexes."""
-    pad = [(0, 0)] * (values.ndim - 2) + [(1, 1), (1, 1)]
-    padded = np.pad(values, pad)
-    return padded.reshape(values.shape[:-2] + (-1,))
-
-
-def bilinear_stencil(grid: ImageGrid, x: np.ndarray, y: np.ndarray):
-    """The 4-tap bilinear stencil at the points (``x``, ``y``), 1-d arrays.
-
-    Returns flat indices into the zero-padded image (see
-    :func:`zero_pad`) and the matching weights, both (4, len(x)), for
-    the taps b, b+1, b+s, b+s+1 with row stride s = n + 2.  The
-    fractional coordinate itself is clamped to the padded range before
-    the floor, so a point on or beyond the padded border reads only zero
-    pixels with weights in [0, 1] and never extrapolates from the
-    image's edge.
-    """
-    n = grid.n
-    h = grid.spacing
-    s = n + 2
-    col = np.asarray(x, dtype=np.float64) + grid.extent
-    row = grid.extent - np.asarray(y, dtype=np.float64)
-    for c in (col, row):
-        c /= h
-        c += 0.5
-        np.clip(c, 0.0, n + 1.0, out=c)
-    i0 = np.minimum(row.astype(np.int64), n)
-    j0 = np.minimum(col.astype(np.int64), n)
-    fr = row
-    fr -= i0
-    fc = col
-    fc -= j0
-
-    idx = np.empty((4,) + i0.shape, dtype=np.int64)
-    np.multiply(i0, s, out=idx[0])
-    idx[0] += j0
-    np.add(idx[0], 1, out=idx[1])
-    np.add(idx[0], s, out=idx[2])
-    np.add(idx[0], s + 1, out=idx[3])
-    gr = 1.0 - fr
-    gc = 1.0 - fc
-    wts = np.empty((4,) + i0.shape)
-    np.multiply(gr, gc, out=wts[0])
-    np.multiply(gr, fc, out=wts[1])
-    np.multiply(fr, gc, out=wts[2])
-    np.multiply(fr, fc, out=wts[3])
-    return idx, wts
-
-
-def sample_bilinear_values(values: np.ndarray, grid: ImageGrid, points: np.ndarray) -> np.ndarray:
-    """Bilinear samples of an image (n, n) or a stack of images
-    (..., n, n) at ``points``; the result is values.shape[:-2] +
-    points.shape[:-1]."""
-    points = np.asarray(points, dtype=np.float64)
-    flat = points.reshape(-1, 2)
-    idx, wts = bilinear_stencil(grid, flat[:, 0], flat[:, 1])
-    padded = zero_pad(np.asarray(values, dtype=np.float64))
-    out = (padded[..., idx] * wts).sum(axis=padded.ndim - 1)
-    return out.reshape(padded.shape[:-1] + points.shape[:-1])

@@ -331,6 +331,8 @@ def sgd_train(
         last = done = min(first + every - 1, cfg.epochs)
         train_sums, heldout_sums, walls = [[0.0] * (last - first + 1) for _ in range(3)]
         for span in spans:
+            if done < first:
+                break  # a block diverged in the segment's first epoch: no later block runs an epoch
             if len(spans) > 1:  # several blocks gather their b again each segment
                 contribs = [op.gather(table, span) for table in tables]
             # a full-resolution block is rows of the weights, updated in place

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import learnedbp
-from learnedbp import fileio
+from learnedbp import cli, fileio
 from learnedbp.cli import main
 from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import make_scenario
@@ -259,6 +259,27 @@ def test_gen_data_is_deterministic(tmp_path, cfg_path, train_dir):
     assert rc == 0
     for path in sorted(train_dir.iterdir()):
         assert (out / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("noise", ["0", "0.1"])
+def test_gen_data_files_do_not_depend_on_the_chunk(tmp_path, cfg_path, monkeypatch, noise):
+    args = ["gen-data", "--scenario", str(cfg_path), "--count", "5", "--noise", noise]
+    simulate_batch = ForwardOperator.simulate_batch
+    sizes, trees = [], []
+
+    def counting(op, images):
+        sizes.append(len(images))
+        return simulate_batch(op, images)
+
+    monkeypatch.setattr(ForwardOperator, "simulate_batch", counting)
+    for chunk in (1, 2, 5):
+        monkeypatch.setattr(cli, "GEN_CHUNK", chunk)
+        out = tmp_path / f"chunk{chunk}"
+        assert main(args + ["--out", str(out)]) == 0
+        trees.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sizes == [1] * 5 + [2, 2, 1] + [5]
+    assert len(trees[0]) == 12
+    assert trees[1] == trees[0] and trees[2] == trees[0]
 
 
 def test_gen_data_noise_is_seeded_and_nonzero(tmp_path, cfg_path):

@@ -11,18 +11,11 @@ from learnedbp.forward import (
     SensorData,
     abel_weights,
     circle_nodes,
-    circular_mean,
     time_derivative,
 )
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
-from learnedbp.phantoms import (
-    Image,
-    PhantomParams,
-    bilinear_stencil,
-    generate_phantom,
-    sample_bilinear_values,
-    zero_pad,
-)
+from learnedbp.phantoms import Image, PhantomParams, generate_phantom
+from stencil_oracle import bilinear_stencil, circular_mean, padded_coordinates, sample_bilinear_values, zero_pad
 
 
 def _gaussian_image(grid: ImageGrid, center, sigma: float, amp: float = 1.0) -> Image:
@@ -382,12 +375,15 @@ def _square_simulate(op: ForwardOperator, images) -> list:
     return [time_derivative(op.abel @ m_table, time.dt) for m_table in m_tables]
 
 
-def _slab_disk_samples(op: ForwardOperator, j: int, radius: float):
-    """ForwardOperator._sample_blocks in one block, with each ray
-    clipped to the padded square as well as to the support disk."""
+def _slab_disk_samples(op: ForwardOperator, j: int, radius: float, half: float | None = None):
+    """The points ForwardOperator._sample_blocks samples, in one block,
+    with each ray clipped to the square |x|, |y| <= ``half`` (by default
+    the padded square; infinite for none) as well as to the support
+    disk: their radial nodes, coordinates and directivity (or None)."""
     grid = op.scenario.grid
     pos = op.scenario.detectors.positions[j]
-    half = grid.extent + 0.5 * grid.spacing
+    if half is None:
+        half = grid.extent + 0.5 * grid.spacing
     with np.errstate(divide="ignore", invalid="ignore"):
         t_near = (-half - pos[:, None]) / op.omega.T
         t_far = (half - pos[:, None]) / op.omega.T
@@ -416,14 +412,35 @@ def _slab_disk_samples(op: ForwardOperator, j: int, radius: float):
     y = np.repeat(op.omega[:, 1], count)
     y *= r
     y += pos[1]
-    idx, wts = bilinear_stencil(grid, x, y)
-    if op.phi is not None:
-        wts *= np.repeat(op.phi[j], count)
-    return node, idx, wts
+    phi = None if op.phi is None else np.repeat(op.phi[j], count)
+    return node, x, y, phi
+
+
+def _old_cells(grid: ImageGrid, x: np.ndarray, y: np.ndarray):
+    """Cell index and offsets of the points (``x``, ``y``) from the old
+    4-tap stencil: its first tap idx[0] in the cell stride n + 2, moved
+    one row or column on where a coordinate is clamped to n + 1 (there
+    the stencil's floor was clamped to n, with offset 1 instead of 0)."""
+    n = grid.n
+    idx, _ = bilinear_stencil(grid, x, y)
+    row, col = padded_coordinates(grid, x, y)
+    i0, j0 = np.divmod(idx[0], n + 2)
+    i0 += row == n + 1
+    j0 += col == n + 1
+    return i0 * (n + 2) + j0, row - i0, col - j0
 
 
 def _n_samples(op: ForwardOperator, j: int, radius: float) -> int:
-    return sum(node.size for node, _, _ in op._sample_blocks(j, radius))
+    return sum(block[0].size for block in op._sample_blocks(j, radius))
+
+
+def _one_block(op: ForwardOperator, j: int, radius: float):
+    """Every yield of op._sample_blocks(j, radius), joined into one."""
+    blocks = list(op._sample_blocks(j, radius))
+    if not blocks:
+        return None
+    phi = None if blocks[0][4] is None else np.concatenate([block[4] for block in blocks])
+    return tuple(np.concatenate([block[q] for block in blocks]) for q in range(4)) + (phi,)
 
 
 def _one_pixel(grid: ImageGrid, i: int, j: int, value: float = 1.0) -> Image:
@@ -441,15 +458,16 @@ def _compact_blob(grid: ImageGrid, center, sigma: float) -> Image:
 
 
 class TestSupportClip:
-    """simulate_batch must be bitwise equal to the square-only gather."""
+    """simulate_batch must match the square-only stencil gather to
+    rounding; the per-sample formula differs, so not bit for bit."""
 
     @staticmethod
-    def _assert_bitwise(op, images):
+    def _assert_matches_square(op, images):
         got = [d.values for d in op.simulate_batch(images)]
         want = _square_simulate(op, images)
         assert len(got) == len(want) == len(images)
         for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
         return got
 
     @staticmethod
@@ -463,7 +481,7 @@ class TestSupportClip:
         sc = dataclasses.replace(make_scenario(label, n=32, n_t=100), directivity_enabled=directivity)
         op = ForwardOperator(sc)
         images = [generate_phantom(PhantomParams(seed=s), sc.grid) for s in (21, 22)]
-        got = self._assert_bitwise(op, images)
+        got = self._assert_matches_square(op, images)
         self._assert_matches_oracle(op, images, got)
 
     @pytest.mark.parametrize("pixel", [(16, 16), (16, 0), (31, 31)], ids=["centre", "edge", "corner"])
@@ -471,7 +489,7 @@ class TestSupportClip:
         sc = make_scenario("B_sparse", n=32, n_t=100)
         op = ForwardOperator(sc)
         images = [_one_pixel(sc.grid, *pixel, value=-2.5)]
-        got = self._assert_bitwise(op, images)
+        got = self._assert_matches_square(op, images)
         assert np.abs(got[0]).max() > 0.0
         self._assert_matches_oracle(op, images, got)
 
@@ -479,37 +497,63 @@ class TestSupportClip:
         sc = make_scenario("A_limited_view", n=32, n_t=100)
         op = ForwardOperator(sc)
         images = [_compact_blob(sc.grid, (0.35, -0.25), 0.06)]
-        got = self._assert_bitwise(op, images)
+        got = self._assert_matches_square(op, images)
         self._assert_matches_oracle(op, images, got)
 
     def test_compact_and_full_square_in_one_batch(self):
         sc = make_scenario("C_limited_sparse", n=32, n_t=100)
         op = ForwardOperator(sc)
         rng = np.random.default_rng(5)
-        self._assert_bitwise(op, [_one_pixel(sc.grid, 15, 17), Image(sc.grid, rng.random((32, 32)))])
+        self._assert_matches_square(op, [_one_pixel(sc.grid, 15, 17), Image(sc.grid, rng.random((32, 32)))])
 
     def test_all_zero_image(self):
         sc = make_scenario("B_sparse", n=32, n_t=100)
         op = ForwardOperator(sc)
         zero = Image(sc.grid, np.zeros((32, 32)))
-        got = self._assert_bitwise(op, [zero])
-        assert np.array_equal(got[0], np.zeros((sc.time.n_t, sc.detectors.n_s)))
+        got = self._assert_matches_square(op, [zero])
+        np.testing.assert_array_equal(got[0].view(np.int64), np.zeros((sc.time.n_t, sc.detectors.n_s), np.int64))
         # no support at all: not even the disk a negative radius squares to
         radius = op._support_radius([zero])
         assert all(_n_samples(op, j, radius) == 0 for j in range(sc.detectors.n_s))
+
+    @pytest.mark.parametrize("directivity", [True, False])
+    def test_full_square_reads_the_zero_cells(self, directivity):
+        # a full-square support disk reaches past the padded border, where
+        # coordinates clamp to n + 1 and the samples read the cells of zeros
+        sc = dataclasses.replace(make_scenario("A_limited_view", n=32, n_t=100), directivity_enabled=directivity)
+        op = ForwardOperator(sc)
+        rng = np.random.default_rng(9)
+        images = [Image(sc.grid, np.ones((32, 32))), Image(sc.grid, rng.random((32, 32)))]
+        radius = op._support_radius(images)
+        clamped = 0
+        for j in range(sc.detectors.n_s):
+            node, x, y, phi = _slab_disk_samples(op, j, radius, half=np.inf)
+            got = _one_block(op, j, radius)
+            np.testing.assert_array_equal(got[0], node)
+            for have, want in zip(got[1:4], _old_cells(sc.grid, x, y), strict=True):
+                np.testing.assert_array_equal(have, want)
+            np.testing.assert_array_equal(got[4], phi)
+            row, col = padded_coordinates(sc.grid, x, y)
+            clamped += np.count_nonzero((row == 33.0) | (col == 33.0))
+        assert clamped > 0
+        got = self._assert_matches_square(op, images)
+        self._assert_matches_oracle(op, images, got)
 
     def test_empty_batch(self):
         assert ForwardOperator(make_scenario("B_sparse", n=32, n_t=100)).simulate_batch([]) == []
 
     @pytest.mark.parametrize("block", [1, 97, 5000])
     def test_small_gather_blocks(self, monkeypatch, block):
-        # blocks of one ray, of a few rays and of the whole detector give the same bits
-        monkeypatch.setattr(forward, "GATHER_BLOCK", block)
+        # blocks of one ray, of a few rays and of the whole detector give the bits of one block
         sc = make_scenario("A_limited_view", n=32, n_t=100)
         op = ForwardOperator(sc)
         rng = np.random.default_rng(6)
         images = [generate_phantom(PhantomParams(seed=23), sc.grid), Image(sc.grid, rng.random((32, 32)))]
-        self._assert_bitwise(op, images)
+        monkeypatch.setattr(forward, "GATHER_BLOCK", op.radii.shape[0] * op.n_angles + 1)
+        whole = [d.values.view(np.int64) for d in op.simulate_batch(images)]
+        monkeypatch.setattr(forward, "GATHER_BLOCK", block)
+        for got, want in zip(self._assert_matches_square(op, images), whole, strict=True):
+            np.testing.assert_array_equal(got.view(np.int64), want)
 
     def test_blocks_hold_whole_rays_up_to_the_block_size(self, monkeypatch):
         sc = dataclasses.replace(make_scenario("B_sparse", n=32, n_t=100), directivity_enabled=False)
@@ -518,12 +562,14 @@ class TestSupportClip:
         longest = op.radii.shape[0]
         for j in range(sc.detectors.n_s):
             monkeypatch.setattr(forward, "GATHER_BLOCK", longest * op.n_angles + 1)
-            (whole, _, _), = op._sample_blocks(j, radius)
+            (whole,) = op._sample_blocks(j, radius)
             monkeypatch.setattr(forward, "GATHER_BLOCK", 500)
-            nodes = [node for node, _, _ in op._sample_blocks(j, radius)]
-            assert len(nodes) > 1
-            assert all(node.size <= 500 + longest for node in nodes)
-            np.testing.assert_array_equal(np.concatenate(nodes), whole)
+            blocks = list(op._sample_blocks(j, radius))
+            assert len(blocks) > 1
+            assert all(block[0].size <= 500 + longest for block in blocks)
+            for q in range(4):
+                np.testing.assert_array_equal(np.concatenate([block[q] for block in blocks]), whole[q])
+            assert whole[4] is None and all(block[4] is None for block in blocks)
 
     @pytest.mark.parametrize(
         "label, n, n_s, n_t",
@@ -537,11 +583,15 @@ class TestSupportClip:
         for seed in (41, 42):
             radius = op._support_radius([generate_phantom(PhantomParams(seed=seed), op.scenario.grid)])
             for j in range(n_s):
-                blocks = list(op._sample_blocks(j, radius))
-                want = _slab_disk_samples(op, j, radius)
-                np.testing.assert_array_equal(np.concatenate([node for node, _, _ in blocks]), want[0])
-                np.testing.assert_array_equal(np.concatenate([idx for _, idx, _ in blocks], axis=1), want[1])
-                np.testing.assert_array_equal(np.concatenate([wts for _, _, wts in blocks], axis=1), want[2])
+                node, x, y, phi = _slab_disk_samples(op, j, radius)
+                got = _one_block(op, j, radius)
+                if got is None:
+                    assert node.size == 0
+                    continue
+                np.testing.assert_array_equal(got[0], node)
+                for have, want in zip(got[1:4], _old_cells(op.scenario.grid, x, y), strict=True):
+                    np.testing.assert_array_equal(have, want)
+                np.testing.assert_array_equal(got[4], phi)
 
     @pytest.mark.parametrize("directivity", [True, False])
     def test_every_detector_gathers_fewer_samples(self, directivity):

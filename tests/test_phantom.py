@@ -10,9 +10,9 @@ from learnedbp.phantoms import (
     elastic_deform,
     generate_phantom,
     rasterize_ellipses,
-    sample_bilinear_values,
     support_mask,
 )
+from stencil_oracle import sample_bilinear_values
 
 # Frozen copy of the modified Shepp-Logan table, kept independent of the
 # package constant so silent edits there are caught.

@@ -429,6 +429,42 @@ class TestStoredContributions:
             assert row[1:3] == pytest.approx(one_row[1:3], rel=1e-13, abs=0)
             assert row[3] == one_row[3]
 
+    def test_no_gather_after_the_first_block_diverges(self, simulated_problem, monkeypatch):
+        # only the first block's rows are nonzero, so only they move; they
+        # overflow in epoch 2, and the three blocks after it gather nothing
+        # in that segment, with the message, checkpoints and rows of one block
+        sc, op, train, heldout = simulated_problem
+        init = np.zeros((sc.grid.n, sc.grid.n, sc.detectors.n_s))
+        init[:4] = 1.0
+        cfg = TrainConfig(epochs=6, learning_rate=5.0, init="resume.patb", checkpoint_every=1)
+        gather = op.gather
+        runs = []
+        for block in (64, sc.grid.n**2):
+            monkeypatch.setattr(training, "TRAIN_BLOCK", block)
+            starts, checkpoints, rows = [], [], []
+
+            def counting(table, span):
+                starts.append(span.start)
+                return gather(table, span)
+
+            monkeypatch.setattr(op, "gather", counting)
+            with pytest.raises(DivergenceError) as info:
+                sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: checkpoints.append((e, _bits(w.values))),
+                          log=lambda *row: rows.append(row), weight_reader=lambda path: init)
+            runs.append((str(info.value), checkpoints, rows, starts))
+        (message, checkpoints, rows, starts), (one_message, one_checkpoints, one_rows, one_starts) = runs
+        n_samples = len(train) + len(heldout)
+        assert starts == [start for start in (0, 64, 128, 192, 0) for _ in range(n_samples)]
+        assert one_starts == [0] * n_samples  # one block is gathered once per run
+        assert "at epoch 2;" in one_message and message == one_message
+        assert [e for e, _ in checkpoints] == [e for e, _ in one_checkpoints] == [0, 1]
+        for (_, bits), (_, one_bits) in zip(checkpoints, one_checkpoints):
+            assert np.array_equal(bits, one_bits)
+        assert [row[0] for row in rows] == [row[0] for row in one_rows] == [1]
+        for row, one_row in zip(rows, one_rows):
+            assert row[1:3] == pytest.approx(one_row[1:3], rel=1e-13, abs=0)
+            assert row[3] == one_row[3]
+
     @pytest.mark.parametrize("rate", [None, 1e-3], ids=["prescan", "given-rate"])
     def test_segments_write_their_checkpoints_before_the_next_segment_runs(self, simulated_problem, monkeypatch,
                                                                            rate):
