@@ -22,7 +22,9 @@ operator.  contrib and apply work in blocks of PIXEL_BLOCK pixels.  The
 weighted sum reduces each block as it is made, so a reconstruction holds
 one block of temporaries, never the whole (n^2, n_s) contributions; it
 checks each reduced block for finiteness, while contrib checks the whole
-tensor once.
+tensor once.  The weighted sum reduces the detector axis 0 of its
+arrays: apply passes transposed views of pixel-major blocks, and the
+training loop holds its blocks detector-major, (n_s, pixels).
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ class BackprojectionOperator:
         w = weights.values.reshape(-1, self.detectors.n_s)
         image = np.empty(w.shape[0])
         for span, b in self._contrib_blocks(data):
-            image[span] = self.apply_values(w[span], b)
+            image[span] = self.apply_values(w[span].T, b.T)
             # the weights are finite, so a non-finite b always makes its
             # pixel's sum non-finite; b itself is looked at only then
             if not np.all(np.isfinite(image[span])) and not np.all(np.isfinite(b)):
@@ -281,17 +283,21 @@ class BackprojectionOperator:
 
     @staticmethod
     def apply_values(w_values: np.ndarray, b_values: np.ndarray, out=None) -> np.ndarray:
-        """Weighted detector sum on raw arrays, no validation; the product
-        W^2 b is formed in ``out`` when given.
+        """Weighted detector sum over axis 0 of (n_s, ...) raw arrays, no
+        validation; the product W^2 b is formed in ``out`` when given.
 
-        Kept as the single definition of the reduction: it matches
+        Kept as the single definition of the reduction.  The memory layout
+        sets the summation order: numpy adds the rows of a C-contiguous
+        (n_s, pixels) array in order, and sums a contiguous detector axis,
+        as in the ``.T`` view of a pixel-major (pixels, n_s) array or a
+        single pixel, pairwise.  On pixel-major arrays it matches
         ContribTensor.sum_image term for term, so W = 1 reproduces the
-        unweighted sum bitwise (multiplying by 1.0 is exact), and the
-        training loop can reuse it on not-yet-validated arrays.
+        unweighted sum bitwise (multiplying by 1.0 is exact); the training
+        loop reuses it on detector-major, not-yet-validated arrays.
         """
         prod = np.square(w_values, out=out)
         prod *= b_values
-        return prod.sum(axis=-1)
+        return prod.sum(axis=0)
 
     def check_weights(self, weights: WeightTensor):
         if weights.grid != self.grid or weights.n_s != self.detectors.n_s:
@@ -302,7 +308,7 @@ class BackprojectionOperator:
 
     def apply_to_contrib(self, weights: WeightTensor, b: ContribTensor) -> Image:
         self.check_weights(weights)
-        return Image(self.grid, self.apply_values(weights.values, b.values))
+        return Image(self.grid, self.apply_values(np.moveaxis(weights.values, -1, 0), np.moveaxis(b.values, -1, 0)))
 
     def standard(self, data: SensorData) -> Image:
         """Unweighted backprojection (the W = 1 special case, summed directly)."""

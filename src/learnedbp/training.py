@@ -15,6 +15,12 @@ the training epochs and the pre-scan's probe epochs alike: a step
 writes its gradient into one buffer and updates the weights in place.
 Divergence is checked once per epoch and block; the weight tensors
 handed out own their arrays.
+
+Training arrays are detector-major: the parameters, each block's b and
+weights, and the gradient buffer are C-contiguous (n_s, pixels) rows, so
+a step's per-pixel detector sum adds whole rows in detector order and
+the factor 4 * residual broadcasts along them.  Only the public
+WeightTensor and grad keep the pixel-major (n, n, n_s) shape.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ from .recon import BackprojectionOperator, WeightTensor
 
 PROBE_SAMPLES = 5
 PROBE_STEPS = 5
-# pixels per training block: every sample's b of one block, 1024 * n_s * 8
-# bytes each, stays in cache while all epochs run on it
+# pixels per training block: every sample's b of one block, a C-contiguous
+# (n_s, 1024) array of 1024 * n_s * 8 bytes, stays in cache while all
+# epochs run on it
 TRAIN_BLOCK = 1024
 
 
@@ -112,24 +119,33 @@ def grad(weights: WeightTensor, pair, op: BackprojectionOperator) -> np.ndarray:
     """Exact gradient of ||F - P(W,G)||^2 with respect to W, shape (n, n, n_s).
 
     One forward pass; the contribution tensor b is reused, no numerical
-    differentiation anywhere.
+    differentiation anywhere.  The step runs on detector-major rows, like
+    training, and its result is transposed back.
     """
     data, truth = pair
     if truth.grid != weights.grid:
         raise ShapeMismatchError("truth image grid does not match weights")
     op.check_weights(weights)
-    return _step(weights.values, op.contrib(data).values, truth.values)[1]
+    b = _detector_major(op.contrib(data).values)
+    full = _step(_detector_major(weights.values), b, truth.values.reshape(-1))[1]
+    return full.T.reshape(weights.values.shape)
+
+
+def _detector_major(values: np.ndarray) -> np.ndarray:
+    """C-contiguous (n_s, pixels) rows of pixel-major (..., n_s) values."""
+    return np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
 
 
 def _step(w: np.ndarray, b: np.ndarray, truth: np.ndarray, gradient: bool = True, out=None):
-    """Squared error ||sum_j w^2 b - f||^2 of one sample on raw arrays and,
-    unless ``gradient`` is false, its gradient 4 * residual * w * b; both
-    the product w^2 b and the gradient are written into ``out`` when given."""
+    """Squared error ||sum_j w^2 b - f||^2 of one sample on detector-major
+    (n_s, pixels) raw arrays and, unless ``gradient`` is false, its gradient
+    4 * residual * w * b; both the product w^2 b and the gradient are
+    written into ``out`` when given."""
     residual = BackprojectionOperator.apply_values(w, b, out=out) - truth
     error = float((residual**2).sum())
     if not gradient:
         return error, None
-    full = np.multiply(4.0 * residual[..., None], w, out=out)
+    full = np.multiply(4.0 * residual, w, out=out)
     full *= b
     return error, full
 
@@ -142,10 +158,11 @@ def _sum_error(w: np.ndarray, contribs: list, truths: list, out: np.ndarray) -> 
 class _WeightParam:
     """Trainable parameterization of the weight tensor.
 
-    Parameters and weights are flat, one row of n_s values per pixel.
-    Full resolution by default; with a coarse grid the parameters live on
-    m^2 rows and the applied weights are their bilinear upsampling, so
-    gradients pull back through the (sparse) interpolation matrix.
+    Parameters and weights are detector-major, (n_s, pixels).  Full
+    resolution by default; with a coarse grid the parameters live on m^2
+    columns and the applied weights are their bilinear upsampling, so
+    gradients pull back through the (sparse) interpolation matrix, which
+    acts on the pixel axis.
     """
 
     def __init__(self, grid, n_s: int, coarse: int | None):
@@ -155,15 +172,17 @@ class _WeightParam:
         self.upsample = None if coarse is None else _upsample_matrix(coarse, grid.n)
 
     def init_values(self, init: str, reader=None) -> np.ndarray:
+        """Fresh initial parameters; a reader's array is copied, so that
+        in-place updates never write into it."""
         side = self.grid.n if self.coarse is None else self.coarse
         if init == "ones":
-            return np.ones((side * side, self.n_s))
+            return np.ones((self.n_s, side * side))
         if init.startswith("constant:"):
             try:
                 kappa = float(init.split(":", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"bad constant init {init!r}") from exc
-            return np.full((side * side, self.n_s), kappa)
+            return np.full((self.n_s, side * side), kappa)
         if reader is None:
             raise ConfigError(f"unknown init {init!r}")
         values = reader(init)
@@ -171,23 +190,24 @@ class _WeightParam:
             raise ShapeMismatchError(
                 f"resume weights shape {values.shape} does not match expected {(side, side, self.n_s)}"
             )
-        return values.reshape(side * side, self.n_s)
+        return values.reshape(side * side, self.n_s).T.copy()
 
     def expand_values(self, values: np.ndarray) -> np.ndarray:
         """Raw upsampled array; no finiteness validation, safe mid-training."""
         if self.upsample is None:
             return values
-        return self.upsample @ values
+        return (self.upsample @ values.T).T
 
     def expand(self, values: np.ndarray) -> WeightTensor:
-        """Validated tensor that owns its array, so that later in-place
-        updates of ``values`` do not reach it."""
-        return WeightTensor(self.expand_values(values).reshape(self.grid.n, self.grid.n, self.n_s).copy(), self.grid)
+        """Validated pixel-major tensor that owns its array, so that later
+        in-place updates of ``values`` do not reach it."""
+        n = self.grid.n
+        return WeightTensor(self.expand_values(values).T.reshape(n, n, self.n_s).copy(), self.grid)
 
     def pull_back(self, full_grad: np.ndarray) -> np.ndarray:
         if self.upsample is None:
             return full_grad
-        return self.upsample.T @ full_grad
+        return (self.upsample.T @ full_grad.T).T
 
 
 def _upsample_matrix(coarse: int, fine: int):
@@ -245,9 +265,10 @@ def prescan_learning_rate(param: _WeightParam, values: np.ndarray, contribs: lis
     ten for which a few probe epochs on a few samples keep the loss finite
     and decreasing.
 
-    The probes are given by their whole-image b ``contribs`` and flat
-    ``truths`` (sgd_train passes its first PROBE_SAMPLES), each probe
-    epoch one :func:`_sgd_pass` over them in order with batch size one.
+    The probes are given by their whole-image, detector-major b
+    ``contribs`` and flat ``truths`` (sgd_train passes its first
+    PROBE_SAMPLES), each probe epoch one :func:`_sgd_pass` over them in
+    order with batch size one.
 
     The backoff matters: the probes run a few dozen updates, but an epoch
     over a real training set runs hundreds, and a rate at the edge of
@@ -285,40 +306,44 @@ def sgd_train(
     """Train the weight tensor on ``train_pairs`` = [(SensorData, Image), ...].
 
     The epochs run in segments, each ending at a checkpoint epoch (every
-    ``cfg.checkpoint_every`` and the last).  Per segment, pixel block (see
-    the module docstring) and epoch: shuffle with a seed derived from
-    (cfg.shuffle_seed, epoch), make one :func:`_sgd_pass` and score the
-    held-out samples; an epoch's losses and wall time (SGD and scoring
-    only) are sums over blocks.  ``checkpoint(epoch, WeightTensor)`` fires
-    for the initial tensor once every sample is checked, then at the end
-    of each segment; ``log(epoch, train_loss, heldout_loss, lr,
-    wall_seconds_so_far)`` for each epoch of a finished segment.  Raises
-    DivergenceError naming the first epoch in which any block's weights
-    or loss are non-finite, after the callbacks of the epochs before it.
+    ``cfg.checkpoint_every`` and the last).  Per segment, each epoch's
+    shuffle is drawn once, with a seed derived from (cfg.shuffle_seed,
+    epoch); per pixel block (see the module docstring) and epoch, one
+    :func:`_sgd_pass` runs and the held-out samples are scored; an epoch's
+    losses and wall time (SGD and scoring only) are sums over blocks.
+    ``checkpoint(epoch, WeightTensor)`` fires for the initial tensor once
+    every sample is checked, then at the end of each segment; ``log(epoch,
+    train_loss, heldout_loss, lr, wall_seconds_so_far)`` for each epoch of
+    a finished segment.  Raises DivergenceError naming the first epoch in
+    which any block's weights or loss are non-finite, after the callbacks
+    of the epochs before it.
     """
     if len(train_pairs) == 0:
         raise ConfigError("training set is empty")
     n, n_train = op.grid.n, len(train_pairs)
     param = _WeightParam(op.grid, op.detectors.n_s, cfg.weight_grid)
-    # a copy, so the in-place updates below never write into the reader's array
-    values = param.init_values(cfg.init, reader=weight_reader).copy()
+    values = param.init_values(cfg.init, reader=weight_reader)
     state = TrainState(param.expand(values))  # validated before the pre-scan trains on it
     samples = list(train_pairs) + list(heldout_pairs)
     # every sample is checked here, before any callback may write
     tables = [op.tabulate(data) for data, _ in samples]
     truths = [truth.values.reshape(-1) for _, truth in samples]
     size = TRAIN_BLOCK if cfg.weight_grid is None else n * n
-    spans = [slice(start, start + size) for start in range(0, n * n, size)]
+    # numpy sums a one-pixel block's detectors pairwise, not row by row, so
+    # a block holds at least two pixels and a lone last pixel joins the one before
+    bounds = list(range(0, n * n - 1, max(size, 2))) + [n * n]
+    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if len(spans) == 1:
         # the one block's b is gathered once, each replacing its sample's table
         for k, table in enumerate(tables):
-            tables[k] = op.gather(table, spans[0])
+            tables[k] = _detector_major(op.gather(table, spans[0]))
         contribs, tables = tables, []
     lr = cfg.learning_rate
     if lr is None:
         # the probes' whole-image b: with one block, the b just gathered
         k = min(PROBE_SAMPLES, n_train)
-        probes = contribs[:k] if len(spans) == 1 else [op.gather(table, slice(None)) for table in tables[:k]]
+        probes = (contribs[:k] if len(spans) == 1
+                  else [_detector_major(op.gather(table, slice(None))) for table in tables[:k]])
         lr = prescan_learning_rate(param, values, probes, truths[:k])
         del probes  # several blocks gather their own b below
     state.learning_rate = lr
@@ -329,19 +354,20 @@ def sgd_train(
     wall = 0.0
     for first in range(1, cfg.epochs + 1, every):
         last = done = min(first + every - 1, cfg.epochs)
-        train_sums, heldout_sums, walls = [[0.0] * (last - first + 1) for _ in range(3)]
+        orders = [epoch_order(cfg.shuffle_seed, epoch, n_train) for epoch in range(first, last + 1)]
+        train_sums, heldout_sums, walls = [[0.0] * len(orders) for _ in range(3)]
         for span in spans:
             if done < first:
                 break  # a block diverged in the segment's first epoch: no later block runs an epoch
             if len(spans) > 1:  # several blocks gather their b again each segment
-                contribs = [op.gather(table, span) for table in tables]
-            # a full-resolution block is rows of the weights, updated in place
-            params = values[span] if cfg.weight_grid is None else values
+                contribs = [_detector_major(op.gather(table, span)) for table in tables]
+            # a full-resolution block trains a contiguous copy of its weight columns
+            params = values if cfg.weight_grid is not None else values[:, span].copy()
             block_truths = [truth[span] for truth in truths]
             grad_buf = np.empty_like(contribs[0])
             for epoch in range(first, done + 1):
                 clock = _time.monotonic()
-                order = epoch_order(cfg.shuffle_seed, epoch, n_train)
+                order = orders[epoch - first]
                 total = _sgd_pass(param, params, contribs, block_truths, order, cfg.batch_size, lr, grad_buf)
                 if not (np.isfinite(total) and np.all(np.isfinite(params))):
                     done = epoch - 1  # later blocks stop before this epoch
@@ -350,6 +376,8 @@ def sgd_train(
                 train_sums[epoch - first] += total
                 heldout_sums[epoch - first] += _sum_error(w, contribs[n_train:], block_truths[n_train:], grad_buf)
                 walls[epoch - first] += _time.monotonic() - clock
+            if params is not values:
+                values[:, span] = params
         for epoch in range(first, done + 1):
             wall += walls[epoch - first]
             state.epoch = epoch

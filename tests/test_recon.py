@@ -224,9 +224,13 @@ class TestBackprojection:
         b = op.contrib(data).values
         assert np.array_equal(b, expected)
         w = np.random.default_rng(11).standard_normal(b.shape)
-        assert np.array_equal(BackprojectionOperator.apply_values(w, b), (w**2 * b).sum(axis=2))
+        # apply_values sums axis 0: the detector axis moved there as a view
+        # is still the contiguous one, summed as the plain expression sums it
+        w_view, b_view = np.moveaxis(w, -1, 0), np.moveaxis(b, -1, 0)
+        assert np.array_equal(BackprojectionOperator.apply_values(w_view, b_view), (w**2 * b).sum(axis=2))
         buf = np.empty_like(b)
-        assert np.array_equal(BackprojectionOperator.apply_values(w, b, out=buf), (w**2 * b).sum(axis=2))
+        out = np.moveaxis(buf, -1, 0)
+        assert np.array_equal(BackprojectionOperator.apply_values(w_view, b_view, out=out), (w**2 * b).sum(axis=2))
         assert np.array_equal(buf, w**2 * b)
 
     def test_exact_mode_close_to_table(self):
@@ -311,6 +315,30 @@ class TestPixelBlocks:
             monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
             assert np.array_equal(_bits(op.contrib(data).values), _bits(b.values))
             assert np.array_equal(_bits(op.apply(weights, data).values), _bits(image))
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_sums_keep_their_pixel_major_bits_at_twenty_detectors(self, monkeypatch, block):
+        # the oracle is the pixel-major sum (w**2 * b).sum(axis=-1) on
+        # C-contiguous (n^2, n_s) arrays, which numpy adds pairwise from 8
+        # terms on; training's detector-major sum adds the rows in order
+        n, n_s = 67, 20
+        sc = _scenario(n=n, n_s=n_s, n_t=40)
+        op = BackprojectionOperator.from_scenario(sc)
+        data = _smooth_data(sc, seed=18)
+        weights = WeightTensor(np.random.default_rng(19).uniform(0.5, 1.5, (n, n, n_s)), sc.grid)
+        b = op.contrib(data)
+        w_rows, b_rows = weights.values.reshape(-1, n_s), b.values.reshape(-1, n_s)
+        weighted = (w_rows**2 * b_rows).sum(axis=-1).reshape(n, n)
+        plain = b_rows.sum(axis=-1).reshape(n, n)
+        in_order = np.zeros(n * n)
+        for j in range(n_s):
+            in_order += w_rows[:, j] ** 2 * b_rows[:, j]
+        assert not np.array_equal(_bits(in_order.reshape(n, n)), _bits(weighted))  # the orders differ here
+        monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+        assert np.array_equal(_bits(op.apply(weights, data).values), _bits(weighted))
+        assert np.array_equal(_bits(op.apply_to_contrib(weights, b).values), _bits(weighted))
+        assert np.array_equal(_bits(b.sum_image().values), _bits(plain))
+        assert np.array_equal(_bits(op.standard(data).values), _bits(plain))
 
     @pytest.mark.parametrize("start, stop", [(0, 4096), (0, 1), (1000, 1007), (4096, 4489), (4480, 5000)])
     def test_gather_matches_the_step_table_expression_bitwise(self, start, stop):

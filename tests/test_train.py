@@ -53,14 +53,25 @@ def small_problem():
     return sc, op, pairs
 
 
-@pytest.fixture(scope="module")
-def simulated_problem():
-    sc = _scenario(n=16, n_s=4, n_t=40)
+def _simulated(n_s):
+    sc = _scenario(n=16, n_s=n_s, n_t=40)
     fwd = ForwardOperator(sc)
     phantoms = [generate_phantom(PhantomParams(seed=s), sc.grid) for s in range(6)]
     pairs = [(fwd.simulate(f), f) for f in phantoms]
     op = BackprojectionOperator.from_scenario(sc)
     return sc, op, pairs[:4], pairs[4:]
+
+
+@pytest.fixture(scope="module")
+def simulated_problem():
+    return _simulated(n_s=4)
+
+
+@pytest.fixture(scope="module")
+def wide_problem():
+    # 20 detectors, as in B_sparse and C_limited_sparse: numpy sums 8 or
+    # more terms along a contiguous axis pairwise, so the order shows
+    return _simulated(n_s=20)
 
 
 class TestGradient:
@@ -100,20 +111,20 @@ class TestGradient:
         data, truth = pairs[1]
         param = _WeightParam(sc.grid, sc.detectors.n_s, coarse=4)
         rng = np.random.default_rng(7)
-        # the parameters are flat, one row per coarse pixel
-        values = rng.uniform(0.5, 1.5, size=(16, sc.detectors.n_s))
-        g = param.pull_back(grad(param.expand(values), (data, truth), op).reshape(-1, sc.detectors.n_s))
+        # the parameters are detector-major, one column per coarse pixel
+        values = rng.uniform(0.5, 1.5, size=(sc.detectors.n_s, 16))
+        g = param.pull_back(grad(param.expand(values), (data, truth), op).reshape(-1, sc.detectors.n_s).T)
         assert g.shape == values.shape
 
         eps = 1e-6
         for i, j, k in ((0, 0, 0), (2, 3, 1), (3, 1, 2)):
             bumped = values.copy()
-            bumped[4 * i + j, k] += eps
+            bumped[k, 4 * i + j] += eps
             up = sample_loss(param.expand(bumped), data, truth, op)
-            bumped[4 * i + j, k] -= 2.0 * eps
+            bumped[k, 4 * i + j] -= 2.0 * eps
             down = sample_loss(param.expand(bumped), data, truth, op)
             fd = (up - down) / (2.0 * eps)
-            assert fd == pytest.approx(g[4 * i + j, k], rel=1e-4, abs=1e-10)
+            assert fd == pytest.approx(g[k, 4 * i + j], rel=1e-4, abs=1e-10)
 
 
 class TestLoss:
@@ -178,7 +189,7 @@ class TestSgdTrain:
             total = 0.0
             for k in epoch_order(9, epoch, 2):
                 b = contribs[k]
-                residual = (w**2 * b).sum(axis=2) - two[k][1].values
+                residual = _detector_sum(w**2 * b) - two[k][1].values
                 total += float((residual**2).sum())
                 full = 4.0 * residual[:, :, None] * w * b
                 w = w - (lr / 1) * full
@@ -289,21 +300,32 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.int64)
 
 
+def _detector_sum(terms):
+    """Sum over the last, detector axis one detector after another from
+    0.0, the order numpy takes along the rows of a C-contiguous
+    (n_s, pixels) array (a sum of -0.0 terms is +0.0 there too)."""
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total += terms[..., j]
+    return total
+
+
 def _reference_sgd(train, heldout, cfg, op):
     """SGD and its learning-rate pre-scan from their definitions, calling
     op.contrib afresh at every use; returns (weights, train losses,
     held-out losses, learning rate).  The arithmetic runs on whole
-    (n, n, n_s) images; only the parameterization's flat rows are shared."""
+    (n, n, n_s) images and sums the detectors in order; only the
+    parameterization's detector-major rows are shared."""
     n, n_s = op.grid.n, op.detectors.n_s
     param = _WeightParam(op.grid, n_s, cfg.weight_grid)
     values = param.init_values(cfg.init)
 
     def error_and_grad(v, pair):
         data, truth = pair
-        w = param.expand_values(v).reshape(n, n, n_s)
+        w = param.expand_values(v).T.reshape(n, n, n_s)
         b = op.contrib(data).values
-        residual = op.apply_values(w, b) - truth.values
-        return float((residual**2).sum()), param.pull_back((4.0 * residual[:, :, None] * w * b).reshape(-1, n_s))
+        residual = _detector_sum(w**2 * b) - truth.values
+        return float((residual**2).sum()), param.pull_back((4.0 * residual[:, :, None] * w * b).reshape(-1, n_s).T)
 
     def mean_error(v, pairs):
         total = 0.0
@@ -343,7 +365,21 @@ def _reference_sgd(train, heldout, cfg, op):
             values = values - (lr / len(batch)) * step
         train_losses.append(total / len(train))
         heldout_losses.append(mean_error(values, heldout))
-    return param.expand_values(values).reshape(n, n, n_s), train_losses, heldout_losses, lr
+    return param.expand_values(values).T.reshape(n, n, n_s), train_losses, heldout_losses, lr
+
+
+def _assert_matches_reference(train, heldout, cfg, op, one_block):
+    state = sgd_train(train, heldout, cfg, op)
+    weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op)
+    assert np.array_equal(_bits(state.weights.values), _bits(weights))
+    assert state.learning_rate == lr
+    if one_block:
+        assert state.train_losses == train_losses
+        assert state.heldout_losses == heldout_losses
+    else:
+        # sums over blocks add the same terms in another order
+        assert state.train_losses == pytest.approx(train_losses, rel=1e-13, abs=0)
+        assert state.heldout_losses == pytest.approx(heldout_losses, rel=1e-13, abs=0)
 
 
 class TestStoredContributions:
@@ -370,22 +406,27 @@ class TestStoredContributions:
     @pytest.mark.parametrize("batch_size", [1, 3])
     @pytest.mark.parametrize("block", [1, 7, 257])
     def test_matches_reference_for_any_block_size(self, simulated_problem, monkeypatch, block, batch_size, exact):
-        # 256 pixels: 256 blocks, 37 blocks (the last of 4 pixels), one block
+        # 256 pixels: 128 blocks of two (a block holds at least two pixels),
+        # 37 blocks (the last of 4 pixels), one block
         sc, _, train, heldout = simulated_problem
         op = BackprojectionOperator.from_scenario(sc, exact=exact)
         monkeypatch.setattr(training, "TRAIN_BLOCK", block)
         cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=5)
-        state = sgd_train(train, heldout, cfg, op)
-        weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op)
-        assert np.array_equal(_bits(state.weights.values), _bits(weights))
-        assert state.learning_rate == lr
-        if block > sc.grid.n**2:
-            assert state.train_losses == train_losses
-            assert state.heldout_losses == heldout_losses
-        else:
-            # sums over blocks add the same terms in another order
-            assert state.train_losses == pytest.approx(train_losses, rel=1e-13, abs=0)
-            assert state.heldout_losses == pytest.approx(heldout_losses, rel=1e-13, abs=0)
+        _assert_matches_reference(train, heldout, cfg, op, one_block=block > sc.grid.n**2)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"batch_size": 3}, {"weight_grid": 4, "batch_size": 2, "shuffle_seed": 3}],
+        ids=["batch-1", "batch-3", "weight-grid-batch-2"],
+    )
+    @pytest.mark.parametrize("block", [1, 7, 257])
+    def test_twenty_detectors_sum_in_detector_order(self, wide_problem, monkeypatch, block, overrides):
+        sc, op, train, heldout = wide_problem
+        b = op.contrib(train[0][0]).values
+        assert not np.array_equal(_bits(_detector_sum(b)), _bits(b.sum(axis=-1)))  # the orders differ here
+        monkeypatch.setattr(training, "TRAIN_BLOCK", block)
+        cfg = TrainConfig(epochs=3, **overrides)
+        _assert_matches_reference(train, heldout, cfg, op, one_block=block > sc.grid.n**2 or "weight_grid" in overrides)
 
     @pytest.mark.parametrize("epochs", [0, 1, 4])
     @pytest.mark.parametrize("rate", [None, 1e-3], ids=["prescan", "given-rate"])
@@ -488,6 +529,20 @@ class TestStoredContributions:
         assert events == (["c0"] + segment + ["l1", "c2", "l2"] + segment + ["l3", "c4", "l4"]
                           + segment + ["c5", "l5"])
 
+    def test_each_epoch_is_shuffled_once_for_all_blocks(self, simulated_problem, monkeypatch):
+        # 256 pixels in 3 blocks, segments of epochs 1-2, 3-4 and 5
+        sc, op, train, heldout = simulated_problem
+        epochs = []
+
+        def counting(seed, epoch, n_samples):
+            epochs.append(epoch)
+            return epoch_order(seed, epoch, n_samples)
+
+        monkeypatch.setattr(training, "epoch_order", counting)
+        monkeypatch.setattr(training, "TRAIN_BLOCK", 100)
+        sgd_train(train, heldout, TrainConfig(epochs=5, learning_rate=1e-3, checkpoint_every=2), op)
+        assert epochs == [1, 2, 3, 4, 5]
+
     @pytest.mark.parametrize("cadence", [0, 1], ids=["last-epoch", "every-epoch"])
     def test_holds_less_than_every_sample_b(self, monkeypatch, cadence):
         # 16 samples' b take 16 * 32^2 * 16 * 8 B = 2 MB; training holds
@@ -533,7 +588,7 @@ class TestInPlaceUpdate:
         sc = _scenario(n=64, n_s=20, n_t=40)
         op = BackprojectionOperator.from_scenario(sc)
         data, truth = _random_pair(sc, 3)
-        b = op.contrib(data).values.reshape(-1, 20)
+        b = training._detector_major(op.contrib(data).values)
         w = np.random.default_rng(4).uniform(0.5, 1.5, b.shape)
         f = truth.values.reshape(-1)
         buf = np.empty_like(b)
@@ -563,7 +618,7 @@ class TestPrescan:
         sc, op, train, _ = simulated_problem
         param = _WeightParam(sc.grid, sc.detectors.n_s, None)
         probes = train[:PROBE_SAMPLES]
-        contribs = [op.contrib(data).values.reshape(-1, sc.detectors.n_s) for data, _ in probes]
+        contribs = [training._detector_major(op.contrib(data).values) for data, _ in probes]
         truths = [truth.values.reshape(-1) for _, truth in probes]
         lr = prescan_learning_rate(param, param.init_values("ones"), contribs, truths)
         assert lr > 0
@@ -574,7 +629,7 @@ class TestPrescan:
         data, _ = pairs[0]
         w = WeightTensor.ones(sc.grid, sc.detectors.n_s)
         param = _WeightParam(sc.grid, sc.detectors.n_s, None)
-        b = op.contrib(data).values.reshape(-1, sc.detectors.n_s)
+        b = training._detector_major(op.contrib(data).values)
         truth = op.apply(w, data).values.reshape(-1)
         assert prescan_learning_rate(param, param.init_values("ones"), [b], [truth]) == 1e-6
 
