@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import learnedbp
-from learnedbp import cli, fileio
+from learnedbp import cli, fileio, recon
 from learnedbp.cli import main
 from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import make_scenario
@@ -506,6 +506,32 @@ def test_train_heldout_of_another_shape_leaves_out_untouched(tmp_path, train_dir
     assert main(argv + rate) == 2
     assert "does not match operator" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("verb", ["train", "reconstruct"])
+def test_operator_larger_than_memory_exits_2_and_leaves_out_untouched(
+    tmp_path, cfg_path, train_dir, verb, monkeypatch, capsys
+):
+    if verb == "train":
+        args = ["train", "--data", str(train_dir), "--epochs", "1", "--lr", "1e-4", "--out"]
+    else:
+        args = ["reconstruct", "--scenario", str(cfg_path), "--data", str(train_dir / "data_00000.patb"),
+                "--ones", "--out"]
+    assert main(args + [str(tmp_path / "done")]) == 0
+
+    def tree():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+    before = tree()
+    capsys.readouterr()
+    # far below the operator's 0.12 MB footprint at 16^2 with 4 detectors
+    monkeypatch.setattr(recon, "available_memory", lambda: 4000)
+    for out in ("done", "fresh"):
+        assert main(args + [str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert f"n={N}, n_s={N_S} in table mode needs" in err and "0.0 MB available" in err
+    assert tree() == before
+    assert sorted(path.name for path in tmp_path.iterdir() if path.name.startswith("fresh")) == []
 
 
 def test_train_shuffles_with_seed_flag_not_config_seed(tmp_path, train_dir, scenario):

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -379,6 +380,132 @@ class TestPixelBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 256 * 20 * 8
+
+
+def _whole_image_build(grid, detectors, time, sound_speed, exact):
+    """The operator's geometry arrays built over the whole image at once,
+    as the operator did before it built them block by block."""
+    pixels = grid.pixel_centers().reshape(-1, 2)
+    diff = pixels[:, None, :] - detectors.positions[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    if np.any(dist == 0.0):
+        raise ConfigError("a pixel center coincides with a detector position")
+    tau_max = sound_speed * time.samples()[-1]
+    outward_dot = np.einsum("psk,sk->ps", diff, detectors.normals)
+    geom = (1.0 / np.pi) * outward_dot * detectors.arc_weight
+    geom[dist >= tau_max] = 0.0
+    if exact:
+        return {"geom": geom, "dist": dist}
+    n_d = recon.TABLE_NODES_PER_DT * time.n_t
+    pos = dist / (sound_speed * time.t_final / n_d)
+    idx = np.minimum(pos.astype(np.int64), n_d - 1)
+    frac = pos - idx
+    idx *= detectors.n_s
+    idx += np.arange(detectors.n_s)
+    return {"geom": geom, "_flat": idx, "_frac": frac}
+
+
+class TestBlockedBuild:
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_matches_whole_image_build_bitwise(self, monkeypatch, exact, block):
+        # n^2 = 4489 leaves a partial last block for 7 and 4096; the short
+        # window at sound speed 1.25 zeroes the far pixels' geometry
+        sc = _scenario(n=67, n_s=5, n_t=40, t_final=1.2)
+        expected = _whole_image_build(sc.grid, sc.detectors, sc.time, 1.25, exact)
+        monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+        op = BackprojectionOperator(sc.grid, sc.detectors, sc.time, 1.25, exact)
+        held = {k: v for k, v in vars(op).items() if isinstance(v, np.ndarray)}
+        assert set(held) == set(expected) | (set() if exact else {"_table_matrix"})
+        assert (expected["geom"] == 0.0).any() and (expected["geom"] != 0.0).any()
+        for name, values in expected.items():
+            assert held[name].dtype == values.dtype
+            assert np.array_equal(held[name].view(np.int64), values.view(np.int64)), name
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_detector_on_a_pixel_of_the_last_block_rejected(self, monkeypatch, exact):
+        # 16 pixels in blocks of 7: pixel 15, centered at (0.75, -0.75), is in the last
+        grid = ImageGrid(n=4, extent=1.0)
+        radius = math.hypot(0.75, 0.75)
+        pos = np.array([[radius, 0.0], [0.75, -0.75]])
+        det = DetectorArray(pos, pos / radius, 0.1, radius)
+        monkeypatch.setattr(recon, "PIXEL_BLOCK", 7)
+        time = TimeGrid(n_t=20, t_final=3.0)
+        message = "a pixel center coincides with a detector position"
+        with pytest.raises(ConfigError, match=message):
+            _whole_image_build(grid, det, time, 1.0, exact)
+        with pytest.raises(ConfigError, match=message):
+            BackprojectionOperator(grid, det, time, exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_build_peaks_near_the_arrays_it_keeps(self, exact):
+        # the whole-image build exceeded them by about five (n^2, n_s) arrays
+        n, n_s, n_t = 256, 20, 400
+        sc = make_scenario("B_sparse", n=n, n_s=n_s, n_t=n_t)
+        tracemalloc.start()
+        try:
+            op = BackprojectionOperator.from_scenario(sc, exact=exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+        assert peak - kept < n * n * n_s * 8
+        assert peak <= recon.operator_bytes(n * n, n_s, n_t, exact)
+
+
+class TestMemoryCheck:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_operator_larger_than_available_memory_fails_before_allocating(self, monkeypatch, exact):
+        sc = _scenario(n=32, n_s=8, n_t=60)
+        need = recon.operator_bytes(32 * 32, 8, 60, exact)
+        monkeypatch.setattr(recon, "available_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as info:
+                BackprojectionOperator.from_scenario(sc, exact=exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 32 * 8 * 8
+        mode = "exact" if exact else "table"
+        assert f"n=32, n_s=8 in {mode} mode needs {need / 1e6:.1f} MB" in str(info.value)
+        assert f"{(need - 1) / 1e6:.1f} MB available" in str(info.value)
+        for available in (need, None):
+            monkeypatch.setattr(recon, "available_memory", lambda: available)
+            BackprojectionOperator.from_scenario(sc, exact=exact)
+
+    @pytest.mark.parametrize(
+        "files, expected",
+        [
+            ({"/proc/meminfo": "MemTotal: 8000 kB\nMemAvailable: 5000 kB\n"}, 5000 * 1024),
+            (
+                {
+                    "/proc/meminfo": "MemAvailable: 5000 kB\n",
+                    "/proc/self/cgroup": "4:memory:/x\n0::/user/job\n",
+                    "/sys/fs/cgroup/user/job/memory.max": "1000000\n",
+                },
+                1000000,
+            ),
+            (
+                {
+                    "/proc/meminfo": "MemAvailable: 5000 kB\n",
+                    "/proc/self/cgroup": "0::/\n",
+                    "/sys/fs/cgroup/memory.max": "max\n",
+                },
+                5000 * 1024,
+            ),
+            ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "7000000\n"}, 7000000),
+            ({}, None),
+        ],
+    )
+    def test_available_memory_reads_meminfo_and_the_cgroup_limit(self, monkeypatch, files, expected):
+        def fake_open(path, *args, **kwargs):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+
+        monkeypatch.setattr(recon, "open", fake_open, raising=False)
+        assert recon.available_memory() == expected
 
 
 class TestRoundTripAccuracy:
