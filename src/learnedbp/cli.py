@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, fileio, metrics, training
 from .errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
-from .forward import DEFAULT_N_R_PER_DT, ForwardOperator, SensorData
+from .forward import DEFAULT_N_R_PER_DT, GEN_CHUNK, ForwardOperator, SensorData
 from .phantoms import Image, PhantomParams, generate_phantom
 from .recon import BackprojectionOperator, WeightTensor
 
@@ -28,10 +28,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
-
-# gen-data simulates this many images per simulate_batch call; an image's
-# data do not depend on the batch, and the batch's cell tables grow with it
-GEN_CHUNK = 8
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,10 +21,20 @@ those of gathering the whole square.  The samples are gathered in
 blocks of whole rays of about GATHER_BLOCK samples, each added into the
 bins in order, so the simulator's working memory does not grow with the
 grid or depend on the images' support, and an image's sums do not
-depend on the block size.  Each image then gets its own Abel product, a
-plain sum in column order over the quadrature matrix's CSR staircase,
-so its data do not depend on the batch and the product starts no BLAS
-threads.
+depend on the block size.
+
+The canonical detector layouts are symmetric under y -> -y, as are the
+pixel grid and the angular nodes, so each mirror pair of detectors is
+sampled once: the lower-index detector's samples read the image and its
+row-flipped copy, and the copy's means are the partner's to rounding.
+The lower-index and unpaired detectors' means are bitwise those of
+sampling each detector alone.  Each image then gets its own Abel
+product, a plain sum in column order over the quadrature matrix's CSR
+staircase, so its data do not depend on the batch and the product
+starts no BLAS threads.  Before allocating, the build compares the
+footprint of itself and of one GEN_CHUNK batch (simulation_bytes) with
+the memory available to the process and raises ConfigError when it
+does not fit.
 """
 
 from __future__ import annotations
@@ -36,11 +46,25 @@ import scipy.sparse
 
 from .errors import ConfigError, ShapeMismatchError
 from .geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, directivity_factors
+from .memory import available_memory, require
 from .phantoms import Image
 
 DEFAULT_N_R_PER_DT = 4
 # circle samples gathered at once: a few MB of geometry and temporaries
 GATHER_BLOCK = 1 << 16
+# largest distance, relative to the detection radius, between one detector's
+# position and the other's mirror image (and between their unit normals) at
+# which two detectors count as each other's mirror image
+MIRROR_TOLERANCE = 1e-12
+# gen-data simulates this many images per simulate_batch call, and the
+# operator's memory check counts one such batch; an image's data do not
+# depend on the batch, and the batch's cell tables grow with it
+GEN_CHUNK = 8
+# (n_t, n_r + 1) float64 arrays counted for an operator build: its traced
+# peak was 5.3 of them, the dense quadrature matrix it keeps included
+QUADRATURE_ARRAYS = 6
+# bytes per circle sample of one gather block's geometry and temporaries
+GATHER_SAMPLE_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -140,6 +164,17 @@ def time_derivative(v: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def simulation_bytes(n: int, n_s: int, n_t: int, n_angles: int, n_r_per_dt: int) -> int:
+    """Footprint of a ForwardOperator build and one simulate_batch of
+    GEN_CHUNK images on an (n, n) grid: the build's quadrature arrays and
+    the directivity table, the batch's cell tables and their row-flipped
+    copies, its mean tables and data, and one gather block."""
+    n_r = n_t * n_r_per_dt
+    build = QUADRATURE_ARRAYS * n_t * (n_r + 1) + n_s * n_angles
+    batch = GEN_CHUNK * (2 * 4 * (n + 2) ** 2 + (n_r + 1) * n_s + 2 * n_t * n_s)
+    return 8 * (build + batch) + GATHER_SAMPLE_BYTES * (GATHER_BLOCK + n_r + 1)
+
+
 class ForwardOperator:
     """Precomputed simulation machinery for one scenario.
 
@@ -171,6 +206,13 @@ class ForwardOperator:
                 f"sound_speed * t_final = {tau_max:.4g}"
             )
 
+        # fail before allocating rather than swap
+        require(
+            f"simulating {GEN_CHUNK} images at once at n={grid.n}, n_s={det.n_s}",
+            simulation_bytes(grid.n, det.n_s, time.n_t, n_angles, n_r_per_dt),
+            available_memory(),
+        )
+
         n_r = time.n_t * n_r_per_dt
         self.radii = np.arange(n_r + 1) * (tau_max / n_r)
         # quadrature row k is nonzero in its first n_r_per_dt*(k+1)+1 columns; the CSR keeps them in the
@@ -184,6 +226,14 @@ class ForwardOperator:
         self.abel = scipy.sparse.csr_array((data, cols, np.r_[0, np.cumsum(width)]), shape=inside.shape)
         self.omega = circle_nodes(n_angles)
         self.phi = directivity_factors(det.normals, self.omega) if scenario.directivity_enabled else None
+        # mirror[j] = k when detector k is detector j reflected in the x-axis,
+        # else j; as complex numbers the reflection conjugates position and normal
+        z, u = (det.positions / det.radius) @ [1, 1j], det.normals @ [1, 1j]
+        match = np.maximum(np.abs(z[:, None] - z.conj()), np.abs(u[:, None] - u.conj())) <= MIRROR_TOLERANCE
+        index = np.arange(det.n_s)
+        first = np.where(match.any(axis=1), match.argmax(axis=1), index)
+        # only mutual matches pair up; detectors on the x-axis mirror themselves
+        self.mirror = np.where(first[first] == index, first, index)
 
     def _support_radius(self, images) -> float:
         """Radius outside which every cell a sample reads holds only zero
@@ -233,7 +283,7 @@ class ForwardOperator:
             # node index of each sample: consecutive along every clipped ray
             skip = np.cumsum(m) - m - first[lo:hi]
             node = np.arange(m.sum()) - np.repeat(skip, m)
-            r = self.radii[node]
+            r = node * dr
             # padded pixel coordinates, clamped to [0, n + 1]: a point on or
             # beyond the padded border lands in a cell of zeros
             fc = np.repeat(self.omega[lo:hi, 0], m)
@@ -290,8 +340,9 @@ class ForwardOperator:
 
     def simulate_batch(self, images) -> list[SensorData]:
         """Simulate several images at once, sampling each detector's
-        circles once for the whole batch.  Each image's data are bitwise
-        those of simulating it alone."""
+        circles once for the whole batch and each mirror pair's once for
+        the batch and its row-flipped copies.  Each image's data are
+        bitwise those of simulating it alone."""
         scenario = self.scenario
         grid, det, time = scenario.grid, scenario.detectors, scenario.time
         for img in images:
@@ -299,8 +350,17 @@ class ForwardOperator:
                 raise ShapeMismatchError(f"image grid {img.grid} does not match scenario grid {grid}")
         radius = self._support_radius(images)
         cells = [cell_table(img.values) for img in images]
+        # detector k = mirror[j] > j reads the image at the mirror points of
+        # j's samples, which are j's samples of the row-flipped image
+        paired = self.mirror != np.arange(det.n_s)
+        flipped = [cell_table(img.values[::-1]) for img in images] if paired.any() else []
         tables = np.empty((len(images), self.radii.shape[0], det.n_s))
-        for j in range(det.n_s):
-            tables[:, :, j] = self._tables(j, radius, cells)
+        for j, k in enumerate(self.mirror):
+            if k == j:
+                tables[:, :, j] = self._tables(j, radius, cells)
+            elif k > j:
+                both = self._tables(j, radius, cells + flipped)
+                tables[:, :, j] = both[: len(images)]
+                tables[:, :, k] = both[len(images) :]
         return [SensorData(time_derivative(self.abel @ table, time.dt), time, det) for table in tables]
 

@@ -78,12 +78,11 @@ def evaluate(
     first_error = None
     for index, (data, truth) in enumerate(pairs):
         try:
-            b = op.contrib(data)
-            ubp_err = rel_error(b.sum_image(), truth, squared)
-            if weights is not None:
-                recon = op.apply_to_contrib(weights, b)
-                report.errors[METHOD_WEIGHTED].append(rel_error(recon, truth, squared))
-            report.errors[METHOD_UBP].append(ubp_err)
+            # one gather of each pixel block feeds both sums
+            images = (op.standard(data),) if weights is None else op.standard_and_apply(weights, data)
+            errors = [rel_error(image, truth, squared) for image in images]
+            for method, error in zip(report.methods, errors):
+                report.errors[method].append(error)
             report.sample_indices.append(index)
         except (ShapeMismatchError, ConfigError) as exc:
             report.failures.append((index, str(exc)))

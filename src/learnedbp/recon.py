@@ -22,7 +22,8 @@ operator.  contrib, apply and standard work in blocks of PIXEL_BLOCK
 pixels.  apply and standard reduce each block as it is made, so a
 reconstruction holds one block of temporaries, never the whole (n^2, n_s)
 contributions; they check each reduced block for finiteness, while
-contrib checks the whole tensor once.  The weighted sum reduces the
+contrib checks the whole tensor once; standard_and_apply makes both
+sums from one gather of each block.  The weighted sum reduces the
 detector axis 0 of its arrays: apply passes transposed views of
 pixel-major blocks, and the training loop holds its blocks
 detector-major, (n_s, pixels).
@@ -39,7 +40,6 @@ available to the process and raises ConfigError when it does not fit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +47,7 @@ import numpy as np
 from .errors import ConfigError, ShapeMismatchError
 from .forward import SensorData, time_derivative
 from .geometry import DetectorArray, ImageGrid, Scenario, TimeGrid
+from .memory import available_memory, require
 from .phantoms import Image
 
 TABLE_NODES_PER_DT = 4
@@ -167,25 +168,6 @@ def integral_weights(d: np.ndarray, time: TimeGrid, sound_speed: float = 1.0) ->
     return weights
 
 
-def available_memory() -> int | None:
-    """Bytes the process can still allocate: MemAvailable, lowered by the
-    cgroup v2 memory.max when that is readable; None when neither is."""
-    limits = []
-    try:
-        with open("/proc/meminfo") as fh:
-            limits += [int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:")]
-    except (OSError, ValueError):
-        pass
-    try:
-        with open("/proc/self/cgroup") as fh:
-            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        with open(os.path.join("/sys/fs/cgroup", path.lstrip("/"), "memory.max")) as fh:
-            limits.append(int(fh.read()))  # "max" (no limit) is skipped
-    except (OSError, ValueError, StopIteration):
-        pass
-    return min(limits) if limits else None
-
-
 def operator_bytes(n_px: int, n_s: int, n_t: int, exact: bool) -> int:
     """Footprint of a BackprojectionOperator build: the (n^2, n_s) arrays
     it keeps (geom and dist, or geom, flat offsets and fractions), the
@@ -231,13 +213,11 @@ class BackprojectionOperator:
 
         n_px, n_s = grid.n * grid.n, detectors.n_s
         # fail before allocating rather than swap
-        need = operator_bytes(n_px, n_s, time.n_t, exact)
-        available = available_memory()
-        if available is not None and need > available:
-            raise ConfigError(
-                f"the backprojection operator at n={grid.n}, n_s={n_s} in {'exact' if exact else 'table'} mode "
-                f"needs {need / 1e6:.1f} MB, more than the {available / 1e6:.1f} MB available"
-            )
+        require(
+            f"the backprojection operator at n={grid.n}, n_s={n_s} in {'exact' if exact else 'table'} mode",
+            operator_bytes(n_px, n_s, time.n_t, exact),
+            available_memory(),
+        )
         # the kept arrays first, then their rows filled block by block
         self.geom = np.empty((n_px, n_s))
         if exact:
@@ -339,20 +319,34 @@ class BackprojectionOperator:
 
     def apply(self, weights: WeightTensor, data: SensorData) -> Image:
         """sum_j W^2 b for one data matrix, reduced block by block."""
+        (image,) = self._reduce_blocks(data, self._weighted(weights))
+        return image
+
+    def standard_and_apply(self, weights: WeightTensor, data: SensorData) -> tuple[Image, Image]:
+        """:meth:`standard` and :meth:`apply`, bitwise, from one gather of
+        each pixel block."""
+        return self._reduce_blocks(data, self._unweighted, self._weighted(weights))
+
+    def _weighted(self, weights: WeightTensor):
         self.check_weights(weights)
         w = weights.values.reshape(-1, self.detectors.n_s)
-        return self._reduce_blocks(data, lambda span, b: self.apply_values(w[span].T, b.T))
+        return lambda span, b: self.apply_values(w[span].T, b.T)
 
-    def _reduce_blocks(self, data: SensorData, reduce) -> Image:
-        """The image of reduce(span, b) over each block's pixels."""
-        image = np.empty(self.geom.shape[0])
+    @staticmethod
+    def _unweighted(span, b):
+        return b.sum(axis=1)
+
+    def _reduce_blocks(self, data: SensorData, *reducers) -> tuple[Image, ...]:
+        """The images of each reduce(span, b) over each block's pixels."""
+        images = np.empty((len(reducers), self.geom.shape[0]))
         for span, b in self._contrib_blocks(data):
-            image[span] = reduce(span, b)
+            for image, reduce in zip(images, reducers):
+                image[span] = reduce(span, b)
             # weights are finite, so a non-finite b always makes its pixel's
-            # sum non-finite; b itself is looked at only then
-            if not np.all(np.isfinite(image[span])) and not np.all(np.isfinite(b)):
+            # sums non-finite; b itself is looked at only then
+            if not np.all(np.isfinite(images[:, span])) and not np.all(np.isfinite(b)):
                 raise ShapeMismatchError("contributions must be finite")
-        return Image(self.grid, image.reshape(self.grid.n, self.grid.n))
+        return tuple(Image(self.grid, image.reshape(self.grid.n, self.grid.n)) for image in images)
 
     @staticmethod
     def apply_values(w_values: np.ndarray, b_values: np.ndarray, out=None) -> np.ndarray:
@@ -386,5 +380,6 @@ class BackprojectionOperator:
     def standard(self, data: SensorData) -> Image:
         """Unweighted backprojection (the W = 1 special case, summed directly),
         reduced block by block; bitwise ContribTensor.sum_image."""
-        return self._reduce_blocks(data, lambda span, b: b.sum(axis=1))
+        (image,) = self._reduce_blocks(data, self._unweighted)
+        return image
 

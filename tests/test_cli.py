@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import learnedbp
-from learnedbp import cli, fileio, recon
+from learnedbp import cli, fileio, forward, recon
 from learnedbp.cli import main
 from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import make_scenario
@@ -532,6 +532,17 @@ def test_operator_larger_than_memory_exits_2_and_leaves_out_untouched(
         assert f"n={N}, n_s={N_S} in table mode needs" in err and "0.0 MB available" in err
     assert tree() == before
     assert sorted(path.name for path in tmp_path.iterdir() if path.name.startswith("fresh")) == []
+
+
+def test_gen_data_larger_than_memory_exits_2_without_creating_out(tmp_path, cfg_path, monkeypatch, capsys):
+    # far below the simulator's footprint at 16^2 with 4 detectors
+    monkeypatch.setattr(forward, "available_memory", lambda: 4000)
+    out = tmp_path / "fresh"
+    assert main(["gen-data", "--scenario", str(cfg_path), "--out", str(out), "--count", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"simulating {forward.GEN_CHUNK} images at once at n={N}, n_s={N_S} needs" in err
+    assert "0.0 MB available" in err
+    assert not out.exists()
 
 
 def test_train_shuffles_with_seed_flag_not_config_seed(tmp_path, train_dir, scenario):

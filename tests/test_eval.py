@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from learnedbp.errors import ConfigError, ShapeMismatchError
 from learnedbp.forward import SensorData
-from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors
+from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
 from learnedbp.metrics import (
     METHOD_UBP,
     METHOD_WEIGHTED,
@@ -124,6 +126,47 @@ class TestEvaluate:
         report = evaluate(w, pairs, op)
         assert report.methods == [METHOD_UBP, METHOD_WEIGHTED]
         assert report.errors[METHOD_WEIGHTED] == report.errors[METHOD_UBP]
+
+    def test_errors_match_the_whole_contribution_tensor(self):
+        # 96^2 pixels make three pixel blocks, the last one partial
+        sc = _scenario(n=96, n_s=20, n_t=60)
+        op = BackprojectionOperator.from_scenario(sc)
+        pairs = _pairs(sc, 3)
+        w = WeightTensor(np.random.default_rng(8).uniform(0.5, 1.5, (96, 96, 20)), sc.grid)
+        for squared in (False, True):
+            report = evaluate(w, pairs, op, squared=squared)
+            contribs = [op.contrib(d) for d, _ in pairs]
+            ubp = [rel_error(b.sum_image(), f, squared) for b, (_, f) in zip(contribs, pairs)]
+            weighted = [rel_error(op.apply_to_contrib(w, b), f, squared) for b, (_, f) in zip(contribs, pairs)]
+            assert report.errors == {METHOD_UBP: ubp, METHOD_WEIGHTED: weighted}
+
+    def test_non_finite_contributions_recorded_as_a_failure(self):
+        sc = _scenario()
+        op = BackprojectionOperator.from_scenario(sc)
+        pairs = _pairs(sc, 2)
+        # 1e307 is finite, but its filtered trace is not
+        overflowing = SensorData(np.full((sc.time.n_t, sc.detectors.n_s), 1e307), sc.time, sc.detectors)
+        pairs[0] = (overflowing, pairs[0][1])
+        for w in (None, WeightTensor.ones(sc.grid, sc.detectors.n_s)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = evaluate(w, pairs, op)
+            assert report.failures == [(0, "contributions must be finite")]
+            assert report.sample_indices == [1]
+
+    def test_peak_stays_below_one_contribution_tensor(self):
+        n, n_s = 256, 20
+        sc = make_scenario("B_sparse", n=n, n_s=n_s, n_t=100)
+        op = BackprojectionOperator.from_scenario(sc)
+        pairs = _pairs(sc, 2)
+        w = WeightTensor(np.random.default_rng(9).uniform(0.5, 1.5, (n, n, n_s)), sc.grid)
+        tracemalloc.start()
+        try:
+            report = evaluate(w, pairs, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.sample_indices == [0, 1]
+        assert peak < n * n * n_s * 8
 
     def test_partial_failure_recorded(self):
         sc = _scenario()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from learnedbp.forward import (
     ForwardOperator,
     SensorData,
     abel_weights,
+    cell_table,
     circle_nodes,
+    simulation_bytes,
     time_derivative,
 )
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
@@ -611,6 +614,140 @@ class TestSupportClip:
         radius = on._support_radius([Image(sc.grid, np.ones((32, 32)))])
         for j in range(sc.detectors.n_s):
             assert _n_samples(on, j, radius) < _n_samples(off, j, radius)
+
+
+def _per_detector_simulate(op: ForwardOperator, images) -> list:
+    """simulate_batch before mirror pairs: every detector's circles
+    sampled on their own, one _tables call per detector for the batch."""
+    sc = op.scenario
+    det, time = sc.detectors, sc.time
+    radius = op._support_radius(images)
+    cells = [cell_table(img.values) for img in images]
+    tables = np.empty((len(images), op.radii.shape[0], det.n_s))
+    for j in range(det.n_s):
+        tables[:, :, j] = op._tables(j, radius, cells)
+    return [time_derivative(op.abel @ table, time.dt) for table in tables]
+
+
+def _mean_table_simulate(op: ForwardOperator, img: Image) -> np.ndarray:
+    """One image's data from each detector's own mean_table."""
+    table = np.stack([op.mean_table(img, j) for j in range(op.scenario.detectors.n_s)], axis=1)
+    return time_derivative(op.abel @ table, op.scenario.time.dt)
+
+
+# label, detectors, custom arc, pairs, detectors that mirror themselves
+_LAYOUTS = [
+    ("A_limited_view", 100, None, 50, []),
+    ("B_sparse", 20, None, 9, [0, 10]),
+    ("B_sparse", 21, None, 10, [0]),
+    ("C_limited_sparse", 20, None, 10, []),
+    ("custom", 30, (0.3, 2.0), 0, list(range(30))),
+]
+_LAYOUT_IDS = ["A", "B20", "B21", "C", "custom"]
+
+
+def _layout_scenario(label, n_s, arc, **kwargs):
+    return make_scenario(label, n_s=n_s, **({} if arc is None else {"arc": arc}), **kwargs)
+
+
+class TestMirrorPairs:
+    @pytest.mark.parametrize("label, n_s, arc, pairs, alone", _LAYOUTS, ids=_LAYOUT_IDS)
+    def test_pair_table(self, label, n_s, arc, pairs, alone):
+        op = ForwardOperator(_layout_scenario(label, n_s, arc, n=16, n_t=40))
+        mirror, index = op.mirror, np.arange(n_s)
+        np.testing.assert_array_equal(mirror[mirror], index)
+        assert np.count_nonzero(mirror > index) == pairs
+        assert np.flatnonzero(mirror == index).tolist() == alone
+        det = op.scenario.detectors
+        flip = np.array([1.0, -1.0])
+        paired = mirror != index
+        np.testing.assert_allclose(det.positions[mirror[paired]], det.positions[paired] * flip, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(det.normals[mirror[paired]], det.normals[paired] * flip, rtol=0, atol=1e-15)
+        if label == "B_sparse":
+            np.testing.assert_array_equal(mirror, -index % n_s)
+        elif label != "custom":
+            np.testing.assert_array_equal(mirror, n_s - 1 - index)
+
+    def test_symmetric_custom_arc_pairs_and_a_duplicate_pairs_once(self):
+        op = ForwardOperator(make_scenario("custom", n=16, n_s=31, n_t=40, arc=(2.0, 2.0 * math.pi - 2.0)))
+        np.testing.assert_array_equal(op.mirror, 30 - np.arange(31))
+        # two detectors at one point match the same mirror image, which pairs with the first
+        sc = op.scenario
+        det = make_detectors("B_sparse", 4, 1.0)
+        twice = dataclasses.replace(det, positions=det.positions[[1, 1, 3]], normals=det.normals[[1, 1, 3]])
+        op = ForwardOperator(dataclasses.replace(sc, detectors=twice))
+        np.testing.assert_array_equal(op.mirror, [2, 1, 0])
+
+    @pytest.mark.parametrize("directivity", [True, False])
+    @pytest.mark.parametrize("label, n_s, arc, pairs, alone", _LAYOUTS, ids=_LAYOUT_IDS)
+    def test_matches_per_detector_sampling(self, label, n_s, arc, pairs, alone, directivity):
+        sc = dataclasses.replace(_layout_scenario(label, n_s, arc, n=32, n_t=100), directivity_enabled=directivity)
+        op = ForwardOperator(sc)
+        rng = np.random.default_rng(12)
+        # none of them symmetric under y -> -y, so a swapped pair would show
+        images = [
+            generate_phantom(PhantomParams(seed=41), sc.grid),
+            Image(sc.grid, rng.random((32, 32))),
+            _compact_blob(sc.grid, (-0.3, 0.45), 0.05),
+        ]
+        own = op.mirror >= np.arange(n_s)
+        assert np.count_nonzero(~own) == pairs
+        for k, (got, want) in enumerate(zip(op.simulate_batch(images), _per_detector_simulate(op, images), strict=True)):
+            # lower-index and unpaired detectors bitwise, partners to rounding
+            np.testing.assert_array_equal(got.values[:, own].view(np.int64), want[:, own].view(np.int64))
+            for oracle in (want, _mean_table_simulate(op, images[k])):
+                np.testing.assert_allclose(got.values, oracle, rtol=0.0, atol=1e-12 * np.abs(oracle).max())
+
+    @pytest.mark.parametrize("label, n_s, arc, pairs, alone", _LAYOUTS, ids=_LAYOUT_IDS)
+    def test_each_pair_is_sampled_once(self, monkeypatch, label, n_s, arc, pairs, alone):
+        op = ForwardOperator(_layout_scenario(label, n_s, arc, n=16, n_t=40))
+        sample_blocks = ForwardOperator._sample_blocks
+        sampled = []
+
+        def counting(self, j, radius):
+            sampled.append(j)
+            return sample_blocks(self, j, radius)
+
+        monkeypatch.setattr(ForwardOperator, "_sample_blocks", counting)
+        op.simulate(generate_phantom(PhantomParams(seed=3), op.scenario.grid))
+        assert sampled == np.flatnonzero(op.mirror >= np.arange(n_s)).tolist()
+        assert len(sampled) == n_s - pairs
+
+
+class TestSimulationMemory:
+    @pytest.mark.parametrize("label, n, n_s, n_t", [("A_limited_view", 64, 100, 400), ("B_sparse", 128, 20, 100)])
+    def test_build_and_batch_peak_within_estimate(self, label, n, n_s, n_t):
+        sc = make_scenario(label, n=n, n_s=n_s, n_t=n_t)
+        rng = np.random.default_rng(2)
+        # full-square support: every ray is sampled to the padded border
+        images = [Image(sc.grid, rng.random((n, n))) for _ in range(forward.GEN_CHUNK)]
+        tracemalloc.start()
+        try:
+            op = ForwardOperator(sc)
+            op.simulate_batch(images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulation_bytes(n, n_s, n_t, op.n_angles, op.n_r_per_dt)
+
+    def test_larger_than_available_memory_fails_before_allocating(self, monkeypatch):
+        sc = make_scenario("A_limited_view", n=32, n_t=100)
+        need = simulation_bytes(32, 100, 100, forward.default_n_angles(sc.grid), forward.DEFAULT_N_R_PER_DT)
+        monkeypatch.setattr(forward, "available_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as info:
+                ForwardOperator(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 1000 * 8  # far below the quadrature matrix
+        message = str(info.value)
+        assert f"at n=32, n_s=100 needs {need / 1e6:.1f} MB" in message
+        assert f"{(need - 1) / 1e6:.1f} MB available" in message
+        for available in (need, None):
+            monkeypatch.setattr(forward, "available_memory", lambda: available)
+            ForwardOperator(sc)
 
 
 class TestDirectivityInSimulation:

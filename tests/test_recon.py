@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from learnedbp import recon
+from learnedbp import memory, recon
 from learnedbp.errors import ConfigError, ShapeMismatchError
 from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
@@ -341,6 +341,27 @@ class TestPixelBlocks:
         assert np.array_equal(_bits(b.sum_image().values), _bits(plain))
         assert np.array_equal(_bits(op.standard(data).values), _bits(plain))
 
+    @pytest.mark.parametrize("block, exact", [(1, False), (7, False), (4096, False), (1000, True)])
+    def test_standard_and_apply_from_one_gather(self, monkeypatch, block, exact):
+        n, n_s = 67, 20
+        sc = _scenario(n=n, n_s=n_s, n_t=40)
+        op = BackprojectionOperator.from_scenario(sc, exact=exact)
+        data = _smooth_data(sc, seed=21)
+        weights = WeightTensor(np.random.default_rng(22).uniform(0.5, 1.5, (n, n, n_s)), sc.grid)
+        plain, weighted = op.standard(data).values, op.apply(weights, data).values
+        monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+        tabulate = op.tabulate
+        calls = []
+        monkeypatch.setattr(op, "tabulate", lambda d: calls.append(d) or tabulate(d))
+        both = op.standard_and_apply(weights, data)
+        assert len(calls) == 1
+        assert np.array_equal(_bits(both[0].values), _bits(plain))
+        assert np.array_equal(_bits(both[1].values), _bits(weighted))
+        overflowing = SensorData(np.full((40, n_s), 1e307), sc.time, sc.detectors)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ShapeMismatchError, match="contributions must be finite"):
+                op.standard_and_apply(weights, overflowing)
+
     @pytest.mark.parametrize("start, stop", [(0, 4096), (0, 1), (1000, 1007), (4096, 4489), (4480, 5000)])
     def test_gather_matches_the_step_table_expression_bitwise(self, start, stop):
         # the gather as it was before tabulating and gathering were split:
@@ -504,8 +525,8 @@ class TestMemoryCheck:
                 raise FileNotFoundError(path)
             return io.StringIO(files[path])
 
-        monkeypatch.setattr(recon, "open", fake_open, raising=False)
-        assert recon.available_memory() == expected
+        monkeypatch.setattr(memory, "open", fake_open, raising=False)
+        assert memory.available_memory() == expected
 
 
 class TestRoundTripAccuracy:
