@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, fileio, metrics, training
 from .errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
@@ -184,8 +185,10 @@ def cmd_train(args) -> int:
             "train_loss": state.train_losses[-1],
             "heldout_loss": state.heldout_losses[-1] if heldout_pairs else None,
             "datasets": {role: _file_hashes(ds.root, (ds.MANIFEST, ds.SCENARIO)) for role, ds in datasets.items()},
+            "training_dtype": np.dtype(training.DTYPE).name,
             "version": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         }
         fileio.atomic_write_bytes(run_path, (json.dumps(run, indent=2) + "\n").encode("ascii"))
     print(f"trained {state.epoch} epochs, lr={state.learning_rate!r}, checkpoints in {out}")

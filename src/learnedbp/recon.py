@@ -281,6 +281,11 @@ class BackprojectionOperator:
         q = time_filter(data, self.sound_speed)
         return q if self.exact else self._table_matrix @ q
 
+    def table_bytes(self) -> int:
+        """Bytes of one :meth:`tabulate` output."""
+        rows = self.time.n_t if self.exact else self._table_matrix.shape[0]
+        return rows * self.detectors.n_s * 8
+
     def gather(self, table: np.ndarray, span: slice) -> np.ndarray:
         """Rows ``span`` of the flattened (n^2, n_s) contributions b, read
         from one sample's :meth:`tabulate` output."""

@@ -21,6 +21,18 @@ weights, and the gradient buffer are C-contiguous (n_s, pixels) rows, so
 a step's per-pixel detector sum adds whole rows in detector order and
 the factor 4 * residual broadcasts along them.  Only the public
 WeightTensor and grad keep the pixel-major (n, n, n_s) shape.
+
+The arrays the SGD loop streams hold DTYPE, float32: each block's b
+(cast in the transposing copy), the flat truths, the parameters, the
+gradient buffer, the pre-scan's probes and the weight grid's 1-D
+interpolation factor.  The data files and checkpoints store float32, so
+float64 there would hold nothing the files keep, and a step moves half
+the bytes.  The per-sample tables stay float64, as op.tabulate returns
+them; WeightTensor casts to float64 exactly, so a checkpoint holds the
+trained weights bitwise.  grad, loss and sample_loss stay in float64.
+Before tabulating, sgd_train compares its footprint (training_bytes)
+with the memory available to the process and raises ConfigError when
+it does not fit.
 """
 
 from __future__ import annotations
@@ -32,15 +44,18 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeMismatchError
 from .forward import SensorData
+from .memory import available_memory, require
 from .phantoms import Image
 from .recon import BackprojectionOperator, WeightTensor
 
 PROBE_SAMPLES = 5
 PROBE_STEPS = 5
 # pixels per training block: every sample's b of one block, a C-contiguous
-# (n_s, 1024) array of 1024 * n_s * 8 bytes, stays in cache while all
+# (n_s, 1024) array of 1024 * n_s * 4 bytes, stays in cache while all
 # epochs run on it
 TRAIN_BLOCK = 1024
+# dtype of the arrays the SGD loop streams (see the module docstring)
+DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -131,18 +146,22 @@ def grad(weights: WeightTensor, pair, op: BackprojectionOperator) -> np.ndarray:
     return full.T.reshape(weights.values.shape)
 
 
-def _detector_major(values: np.ndarray) -> np.ndarray:
-    """C-contiguous (n_s, pixels) rows of pixel-major (..., n_s) values."""
-    return np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
+def _detector_major(values: np.ndarray, dtype=None) -> np.ndarray:
+    """C-contiguous (n_s, pixels) rows of pixel-major (..., n_s) values,
+    cast to ``dtype`` (default: kept) in the same copy."""
+    return np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T, dtype=dtype)
 
 
 def _step(w: np.ndarray, b: np.ndarray, truth: np.ndarray, gradient: bool = True, out=None):
     """Squared error ||sum_j w^2 b - f||^2 of one sample on detector-major
     (n_s, pixels) raw arrays and, unless ``gradient`` is false, its gradient
     4 * residual * w * b; both the product w^2 b and the gradient are
-    written into ``out`` when given."""
+    written into ``out`` when given.  The error squares and sums the
+    residual in float64, so that it does not overflow before the weights
+    do and losses summed over blocks match whole-image sums to float64
+    rounding."""
     residual = BackprojectionOperator.apply_values(w, b, out=out) - truth
-    error = float((residual**2).sum())
+    error = float(np.square(residual, dtype=np.float64).sum())
     if not gradient:
         return error, None
     full = np.multiply(4.0 * residual, w, out=out)
@@ -158,31 +177,32 @@ def _sum_error(w: np.ndarray, contribs: list, truths: list, out: np.ndarray) -> 
 class _WeightParam:
     """Trainable parameterization of the weight tensor.
 
-    Parameters and weights are detector-major, (n_s, pixels).  Full
-    resolution by default; with a coarse grid the parameters live on m^2
-    columns and the applied weights are their bilinear upsampling, so
-    gradients pull back through the (sparse) interpolation matrix, which
-    acts on the pixel axis.
+    Parameters and weights are detector-major, (n_s, pixels), of DTYPE.
+    Full resolution by default; with a coarse grid the parameters live on
+    m^2 columns and the applied weights are their bilinear upsampling.
+    That map is the Kronecker square of a dense (n, m) 1-D interpolation
+    matrix L, so it applies as L V L^T to each detector's (m, m) view V,
+    and gradients G pull back as L^T G L, with no (n^2, n_s) temporary.
     """
 
     def __init__(self, grid, n_s: int, coarse: int | None):
         self.grid = grid
         self.n_s = n_s
         self.coarse = coarse
-        self.upsample = None if coarse is None else _upsample_matrix(coarse, grid.n)
+        self.line = None if coarse is None else _interp_line(coarse, grid.n).toarray().astype(DTYPE)
 
     def init_values(self, init: str, reader=None) -> np.ndarray:
-        """Fresh initial parameters; a reader's array is copied, so that
-        in-place updates never write into it."""
+        """Fresh initial parameters of DTYPE; a reader's array is copied,
+        so that in-place updates never write into it."""
         side = self.grid.n if self.coarse is None else self.coarse
         if init == "ones":
-            return np.ones((self.n_s, side * side))
+            return np.ones((self.n_s, side * side), dtype=DTYPE)
         if init.startswith("constant:"):
             try:
                 kappa = float(init.split(":", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"bad constant init {init!r}") from exc
-            return np.full((self.n_s, side * side), kappa)
+            return np.full((self.n_s, side * side), kappa, dtype=DTYPE)
         if reader is None:
             raise ConfigError(f"unknown init {init!r}")
         values = reader(init)
@@ -190,31 +210,34 @@ class _WeightParam:
             raise ShapeMismatchError(
                 f"resume weights shape {values.shape} does not match expected {(side, side, self.n_s)}"
             )
-        return values.reshape(side * side, self.n_s).T.copy()
+        return np.array(values.reshape(side * side, self.n_s).T, dtype=DTYPE, order="C")
 
     def expand_values(self, values: np.ndarray) -> np.ndarray:
         """Raw upsampled array; no finiteness validation, safe mid-training."""
-        if self.upsample is None:
+        if self.line is None:
             return values
-        return (self.upsample @ values.T).T
+        n, m = self.grid.n, self.coarse
+        # V L^T as one product over every detector's rows, then L times each (m, n) slice
+        return (self.line @ (values.reshape(-1, m) @ self.line.T).reshape(-1, m, n)).reshape(-1, n * n)
 
     def expand(self, values: np.ndarray) -> WeightTensor:
-        """Validated pixel-major tensor that owns its array, so that later
-        in-place updates of ``values`` do not reach it."""
+        """Validated pixel-major float64 tensor that owns its array, so that
+        later in-place updates of ``values`` do not reach it."""
         n = self.grid.n
-        return WeightTensor(self.expand_values(values).T.reshape(n, n, self.n_s).copy(), self.grid)
+        return WeightTensor(np.array(self.expand_values(values).T.reshape(n, n, self.n_s), dtype=np.float64), self.grid)
 
     def pull_back(self, full_grad: np.ndarray) -> np.ndarray:
-        if self.upsample is None:
+        """The adjoint of expand_values, applied to a (n_s, n^2) gradient."""
+        if self.line is None:
             return full_grad
-        return (self.upsample.T @ full_grad.T).T
+        n, m = self.grid.n, self.coarse
+        return (self.line.T @ full_grad.reshape(-1, n, n) @ self.line).reshape(-1, m * m)
 
 
-def _upsample_matrix(coarse: int, fine: int):
-    """Sparse (fine^2, coarse^2) bilinear interpolation matrix between two
-    pixel-center grids over the same square; edge-clamped so constants are
-    preserved exactly.  It is the Kronecker square of the 1-D linear
-    interpolation matrix."""
+def _interp_line(coarse: int, fine: int):
+    """Sparse (fine, coarse) linear interpolation matrix between two
+    pixel-center grids over the same interval; edge-clamped so constants
+    are preserved exactly."""
     from scipy import sparse
 
     # fine pixel centers in coarse index coordinates
@@ -224,7 +247,18 @@ def _upsample_matrix(coarse: int, fine: int):
     # row i holds 1 - frac[i] at column i0[i] and frac[i] at i0[i] + 1
     values = np.stack([1.0 - frac, frac], axis=1).ravel()
     columns = np.stack([i0, i0 + 1], axis=1).ravel()
-    line = sparse.csr_matrix((values, columns, np.arange(0, 2 * fine + 1, 2)), shape=(fine, coarse))
+    return sparse.csr_matrix((values, columns, np.arange(0, 2 * fine + 1, 2)), shape=(fine, coarse))
+
+
+def _upsample_matrix(coarse: int, fine: int):
+    """Sparse (fine^2, coarse^2) bilinear interpolation matrix between two
+    pixel-center grids over the same square, in float64: the Kronecker
+    square of :func:`_interp_line`.  Training applies it through that
+    factor; this product form is the reference the factored map is
+    checked against."""
+    from scipy import sparse
+
+    line = _interp_line(coarse, fine)
     return sparse.kron(line, line, format="csr")
 
 
@@ -294,6 +328,35 @@ def prescan_learning_rate(param: _WeightParam, values: np.ndarray, contribs: lis
     raise DivergenceError("learning-rate pre-scan found no stable step size; data may be degenerate")
 
 
+def _blocks(n_px: int, weight_grid: int | None) -> list:
+    """The pixel blocks training runs on: TRAIN_BLOCK pixels each at full
+    resolution, the whole image with a weight grid."""
+    size = TRAIN_BLOCK if weight_grid is None else n_px
+    # numpy sums a one-pixel block's detectors pairwise, not row by row, so
+    # a block holds at least two pixels and a lone last pixel joins the one before
+    bounds = list(range(0, n_px - 1, max(size, 2))) + [n_px]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def training_bytes(op: BackprojectionOperator, cfg: TrainConfig, n_train: int, n_heldout: int) -> int:
+    """Footprint of sgd_train's own arrays, summed over its phases: every
+    sample's float64 table; in DTYPE, every sample's b of one block and
+    one more being gathered, two block-sized buffers, the parameters and
+    a copy, and, when the pre-scan runs on several blocks, its
+    whole-image probes and gradient buffer; in float64, three weight
+    tensors (the one handed out, its successor and the temporaries of
+    its cast) and the b and temporary of the largest gather."""
+    n_px, n_s, n_samples = op.grid.n**2, op.detectors.n_s, n_train + n_heldout
+    spans = _blocks(n_px, cfg.weight_grid)
+    block = max(span.stop - span.start for span in spans)
+    side = op.grid.n if cfg.weight_grid is None else cfg.weight_grid
+    prescan = cfg.learning_rate is None
+    probes = min(PROBE_SAMPLES, n_train) + 1 if prescan and len(spans) > 1 else 0
+    streamed = ((n_samples + 3) * block + probes * n_px + 2 * side * side) * n_s
+    wide = (3 * n_px + 2 * (n_px if prescan else block)) * n_s
+    return n_samples * op.table_bytes() + streamed * np.dtype(DTYPE).itemsize + wide * 8
+
+
 def sgd_train(
     train_pairs,
     heldout_pairs,
@@ -314,9 +377,10 @@ def sgd_train(
     ``checkpoint(epoch, WeightTensor)`` fires for the initial tensor once
     every sample is checked, then at the end of each segment; ``log(epoch,
     train_loss, heldout_loss, lr, wall_seconds_so_far)`` for each epoch of
-    a finished segment.  Raises DivergenceError naming the first epoch in
-    which any block's weights or loss are non-finite, after the callbacks
-    of the epochs before it.
+    a finished segment.  Raises ConfigError before tabulating when
+    :func:`training_bytes` exceeds the memory available, and
+    DivergenceError naming the first epoch in which any block's weights
+    or loss are non-finite, after the callbacks of the epochs before it.
     """
     if len(train_pairs) == 0:
         raise ConfigError("training set is empty")
@@ -325,25 +389,29 @@ def sgd_train(
     values = param.init_values(cfg.init, reader=weight_reader)
     state = TrainState(param.expand(values))  # validated before the pre-scan trains on it
     samples = list(train_pairs) + list(heldout_pairs)
+    spans = _blocks(n * n, cfg.weight_grid)
+    # fail before tabulating rather than swap
+    require(
+        f"training on {len(samples)} samples at n={n}, n_s={op.detectors.n_s}",
+        training_bytes(op, cfg, n_train, len(heldout_pairs)),
+        available_memory(),
+    )
     # every sample is checked here, before any callback may write
     tables = [op.tabulate(data) for data, _ in samples]
-    truths = [truth.values.reshape(-1) for _, truth in samples]
-    size = TRAIN_BLOCK if cfg.weight_grid is None else n * n
-    # numpy sums a one-pixel block's detectors pairwise, not row by row, so
-    # a block holds at least two pixels and a lone last pixel joins the one before
-    bounds = list(range(0, n * n - 1, max(size, 2))) + [n * n]
-    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    truths = [truth.values.reshape(-1).astype(DTYPE) for _, truth in samples]
     if len(spans) == 1:
         # the one block's b is gathered once, each replacing its sample's table
         for k, table in enumerate(tables):
-            tables[k] = _detector_major(op.gather(table, spans[0]))
+            tables[k] = _detector_major(op.gather(table, spans[0]), DTYPE)
         contribs, tables = tables, []
+    else:
+        contribs = [None] * len(samples)
     lr = cfg.learning_rate
     if lr is None:
         # the probes' whole-image b: with one block, the b just gathered
         k = min(PROBE_SAMPLES, n_train)
         probes = (contribs[:k] if len(spans) == 1
-                  else [_detector_major(op.gather(table, slice(None))) for table in tables[:k]])
+                  else [_detector_major(op.gather(table, slice(None)), DTYPE) for table in tables[:k]])
         lr = prescan_learning_rate(param, values, probes, truths[:k])
         del probes  # several blocks gather their own b below
     state.learning_rate = lr
@@ -359,8 +427,9 @@ def sgd_train(
         for span in spans:
             if done < first:
                 break  # a block diverged in the segment's first epoch: no later block runs an epoch
-            if len(spans) > 1:  # several blocks gather their b again each segment
-                contribs = [_detector_major(op.gather(table, span)) for table in tables]
+            if len(spans) > 1:  # several blocks gather their b again each segment, each replacing the last block's
+                for k, table in enumerate(tables):
+                    contribs[k] = _detector_major(op.gather(table, span), DTYPE)
             # a full-resolution block trains a contiguous copy of its weight columns
             params = values if cfg.weight_grid is not None else values[:, span].copy()
             block_truths = [truth[span] for truth in truths]

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import learnedbp
-from learnedbp import cli, fileio, forward, recon
+from learnedbp import cli, fileio, forward, recon, training
 from learnedbp.cli import main
 from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import make_scenario
@@ -436,6 +437,7 @@ def test_train_run_json_records_the_run(tmp_path, train_dir, test_dir):
             name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in ("manifest.txt", "scenario.cfg")
         }
     assert (run["version"], run["numpy"]) == (learnedbp.__version__, np.__version__)
+    assert (run["training_dtype"], run["scipy"]) == ("float32", scipy.__version__)
 
     assert main(["train", "--data", str(train_dir), "--out", str(out), "--epochs", "1", "--lr", "1e-4"]) == 0
     run = json.loads((out / "run.json").read_text())
@@ -532,6 +534,16 @@ def test_operator_larger_than_memory_exits_2_and_leaves_out_untouched(
         assert f"n={N}, n_s={N_S} in table mode needs" in err and "0.0 MB available" in err
     assert tree() == before
     assert sorted(path.name for path in tmp_path.iterdir() if path.name.startswith("fresh")) == []
+
+
+def test_train_larger_than_memory_exits_2_without_creating_out(tmp_path, train_dir, monkeypatch, capsys):
+    # the operator fits; training's own arrays, counted before tabulating, do not
+    monkeypatch.setattr(training, "available_memory", lambda: 4000)
+    out = tmp_path / "fresh"
+    assert main(["train", "--data", str(train_dir), "--epochs", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"training on 3 samples at n={N}, n_s={N_S} needs" in err and "0.0 MB available" in err
+    assert not out.exists()
 
 
 def test_gen_data_larger_than_memory_exits_2_without_creating_out(tmp_path, cfg_path, monkeypatch, capsys):

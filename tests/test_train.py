@@ -9,7 +9,7 @@ from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors
 from learnedbp.phantoms import Image, PhantomParams, generate_phantom
 from learnedbp.recon import BackprojectionOperator, WeightTensor
-from learnedbp import training
+from learnedbp import fileio, training
 from learnedbp.training import (
     PROBE_SAMPLES,
     PROBE_STEPS,
@@ -170,8 +170,13 @@ class TestSgdTrain:
         assert np.array_equal(state.weights.values, np.ones_like(state.weights.values))
         assert state.epoch == 3
         assert len(set(state.train_losses)) == 1
-        expected = loss(WeightTensor.ones(sc.grid, sc.detectors.n_s), pairs[:1], op)
+        # the held-out loss at W = 1 from its definition, on the training dtype
+        data, truth = pairs[0]
+        b = op.contrib(data).values.astype(training.DTYPE)
+        residual = _detector_sum(b) - truth.values.astype(training.DTYPE)
+        expected = float(np.square(residual, dtype=np.float64).sum())
         assert state.heldout_losses == [expected] * 3
+        assert expected == pytest.approx(loss(WeightTensor.ones(sc.grid, sc.detectors.n_s), pairs[:1], op), rel=1e-5)
 
     def test_update_rule_matches_reference_recurrence(self, small_problem):
         sc, op, pairs = small_problem
@@ -180,17 +185,18 @@ class TestSgdTrain:
         cfg = TrainConfig(epochs=2, learning_rate=lr, shuffle_seed=9)
         state = sgd_train(two, [], cfg, op)
 
-        # re-run the update rule from its definition, sharing only the
-        # contribution tensors with the implementation
-        contribs = [op.contrib(d).values for d, _ in two]
-        w = np.ones((sc.grid.n, sc.grid.n, sc.detectors.n_s))
+        # re-run the update rule from its definition on the training dtype,
+        # sharing only the contribution tensors with the implementation
+        dtype = training.DTYPE
+        contribs = [op.contrib(d).values.astype(dtype) for d, _ in two]
+        w = np.ones((sc.grid.n, sc.grid.n, sc.detectors.n_s), dtype=dtype)
         losses = []
         for epoch in (1, 2):
             total = 0.0
             for k in epoch_order(9, epoch, 2):
                 b = contribs[k]
-                residual = _detector_sum(w**2 * b) - two[k][1].values
-                total += float((residual**2).sum())
+                residual = _detector_sum(w**2 * b) - two[k][1].values.astype(dtype)
+                total += float(np.square(residual, dtype=np.float64).sum())
                 full = 4.0 * residual[:, :, None] * w * b
                 w = w - (lr / 1) * full
             losses.append(total / 2)
@@ -267,10 +273,11 @@ class TestSgdTrain:
     def test_divergence_raised_at_the_end_of_its_epoch(self, simulated_problem, overrides, epoch):
         # a non-finite weight stays non-finite, so checking once per epoch
         # raises in the epoch that checking after every step named; the
-        # coarse grid's two steps per epoch keep epoch 1 finite
+        # coarse grid's two steps per epoch keep epoch 1 finite (in float32
+        # for rates from 1e6 to 1e9; from 1e10 its first epoch overflows)
         sc, op, train, _ = simulated_problem
         checkpoints, rows = [], []
-        cfg = TrainConfig(epochs=3, learning_rate=1e12, checkpoint_every=1, **overrides)
+        cfg = TrainConfig(epochs=3, learning_rate=1e8, checkpoint_every=1, **overrides)
         with pytest.raises(DivergenceError, match=rf"at epoch {epoch}\b"):
             sgd_train(train, [], cfg, op, checkpoint=lambda e, w: checkpoints.append(e), log=lambda *row: rows.append(row))
         assert checkpoints == list(range(epoch))
@@ -297,35 +304,38 @@ class TestSgdTrain:
 
 
 def _bits(values):
-    return np.ascontiguousarray(values).view(np.int64)
+    values = np.ascontiguousarray(values)
+    return values.view(f"i{values.dtype.itemsize}")
 
 
 def _detector_sum(terms):
     """Sum over the last, detector axis one detector after another from
-    0.0, the order numpy takes along the rows of a C-contiguous
-    (n_s, pixels) array (a sum of -0.0 terms is +0.0 there too)."""
-    total = np.zeros(terms.shape[:-1])
+    0.0, in the terms' dtype, the order numpy takes along the rows of a
+    C-contiguous (n_s, pixels) array (a sum of -0.0 terms is +0.0 there
+    too)."""
+    total = np.zeros(terms.shape[:-1], dtype=terms.dtype)
     for j in range(terms.shape[-1]):
         total += terms[..., j]
     return total
 
 
-def _reference_sgd(train, heldout, cfg, op):
+def _reference_sgd(train, heldout, cfg, op, dtype=training.DTYPE):
     """SGD and its learning-rate pre-scan from their definitions, calling
     op.contrib afresh at every use; returns (weights, train losses,
     held-out losses, learning rate).  The arithmetic runs on whole
-    (n, n, n_s) images and sums the detectors in order; only the
-    parameterization's detector-major rows are shared."""
+    (n, n, n_s) images of ``dtype`` (b, truths and parameters are cast to
+    it) and sums the detectors in order; only the parameterization's
+    detector-major rows and its upsampling are shared."""
     n, n_s = op.grid.n, op.detectors.n_s
     param = _WeightParam(op.grid, n_s, cfg.weight_grid)
-    values = param.init_values(cfg.init)
+    values = param.init_values(cfg.init).astype(dtype)
 
     def error_and_grad(v, pair):
         data, truth = pair
         w = param.expand_values(v).T.reshape(n, n, n_s)
-        b = op.contrib(data).values
-        residual = _detector_sum(w**2 * b) - truth.values
-        return float((residual**2).sum()), param.pull_back((4.0 * residual[:, :, None] * w * b).reshape(-1, n_s).T)
+        b = op.contrib(data).values.astype(dtype)
+        residual = _detector_sum(w**2 * b) - truth.values.astype(dtype)
+        return float(np.square(residual, dtype=np.float64).sum()), param.pull_back((4.0 * residual[:, :, None] * w * b).reshape(-1, n_s).T)
 
     def mean_error(v, pairs):
         total = 0.0
@@ -365,7 +375,7 @@ def _reference_sgd(train, heldout, cfg, op):
             values = values - (lr / len(batch)) * step
         train_losses.append(total / len(train))
         heldout_losses.append(mean_error(values, heldout))
-    return param.expand_values(values).T.reshape(n, n, n_s), train_losses, heldout_losses, lr
+    return param.expand_values(values).T.reshape(n, n, n_s).astype(np.float64), train_losses, heldout_losses, lr
 
 
 def _assert_matches_reference(train, heldout, cfg, op, one_block):
@@ -401,6 +411,27 @@ class TestStoredContributions:
         assert state.train_losses == train_losses
         assert state.heldout_losses == heldout_losses
         assert state.learning_rate == lr
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"batch_size": 3}, {"weight_grid": 4, "batch_size": 2, "shuffle_seed": 3}],
+        ids=["batch-1", "batch-3", "weight-grid-batch-2"],
+    )
+    @pytest.mark.parametrize("problem", ["simulated_problem", "wide_problem"])
+    def test_float64_reference_agrees_within_float32_rounding(self, request, problem, overrides):
+        # the same definition run in float64 on the same float64 b: training
+        # in float32 picks the same rate, and over 20 epochs its weights stay
+        # within 100 float32 epsilons of their maximum, its losses within 10
+        # (measured: 1.2e-6 and 9.2e-8 at most, against 1.2e-5 and 1.2e-6)
+        sc, op, train, heldout = request.getfixturevalue(problem)
+        eps = np.finfo(np.float32).eps
+        cfg = TrainConfig(epochs=20, **overrides)
+        state = sgd_train(train, heldout, cfg, op)
+        weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op, dtype=np.float64)
+        assert state.learning_rate == lr
+        np.testing.assert_allclose(state.weights.values, weights, rtol=0, atol=100 * eps * np.abs(weights).max())
+        assert state.train_losses == pytest.approx(train_losses, rel=10 * eps, abs=0)
+        assert state.heldout_losses == pytest.approx(heldout_losses, rel=10 * eps, abs=0)
 
     @pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
     @pytest.mark.parametrize("batch_size", [1, 3])
@@ -613,6 +644,74 @@ class TestInPlaceUpdate:
         assert not np.array_equal(state.weights.values, copy)
 
 
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"weight_grid": 4, "batch_size": 2}], ids=["full-resolution", "weight-grid-batch-2"]
+    )
+    def test_checkpoint_files_hold_the_trained_weights_bitwise(self, simulated_problem, tmp_path, overrides):
+        # the weights train in float32 and widen to float64 exactly, so the
+        # float32 PATB payload loses nothing
+        sc, op, train, heldout = simulated_problem
+        handed = {}
+
+        def checkpoint(epoch, weights):
+            fileio.write_patb(tmp_path / f"w{epoch}.patb", weights.values)
+            handed[epoch] = weights.values
+
+        cfg = TrainConfig(epochs=3, learning_rate=1e-3, checkpoint_every=1, **overrides)
+        state = sgd_train(train, heldout, cfg, op, checkpoint=checkpoint)
+        assert sorted(handed) == [0, 1, 2, 3]
+        for epoch, values in handed.items():
+            assert np.array_equal(_bits(fileio.read_patb(tmp_path / f"w{epoch}.patb")), _bits(values))
+        assert np.array_equal(_bits(fileio.read_patb(tmp_path / "w3.patb")), _bits(state.weights.values))
+
+
+class TestMemoryCheck:
+    @pytest.fixture(scope="class")
+    def desk_problem(self):
+        # 64^2 with 20 detectors, as in the C_limited_sparse desk scale
+        sc = _scenario(n=64, n_s=20, n_t=40)
+        fwd = ForwardOperator(sc)
+        pairs = [(fwd.simulate(f), f) for f in (generate_phantom(PhantomParams(seed=s), sc.grid) for s in range(16))]
+        return BackprojectionOperator.from_scenario(sc), pairs[:12], pairs[12:]
+
+    @pytest.mark.parametrize(
+        "overrides", [{"learning_rate": 1e-3}, {}, {"weight_grid": 4}], ids=["given-rate", "prescan", "weight-grid"]
+    )
+    def test_footprint_bounds_the_traced_peak(self, desk_problem, overrides):
+        # the footprint sums the phases (pre-scan, blocks, checkpoints), so
+        # it may count up to twice what is ever held at once
+        op, train, heldout = desk_problem
+        cfg = TrainConfig(epochs=2, checkpoint_every=1, **overrides)
+        need = training.training_bytes(op, cfg, len(train), len(heldout))
+        tracemalloc.start()
+        try:
+            sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need < 2 * peak
+
+    def test_larger_than_available_memory_fails_before_tabulating(self, simulated_problem, monkeypatch):
+        sc, op, train, heldout = simulated_problem
+        cfg = TrainConfig(epochs=1)
+        need = training.training_bytes(op, cfg, len(train), len(heldout))
+        calls = []
+        tabulate = op.tabulate
+
+        def counting(data):
+            calls.append(data)
+            return tabulate(data)
+
+        monkeypatch.setattr(op, "tabulate", counting)
+        monkeypatch.setattr(training, "available_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match=rf"training on 6 samples at n=16, n_s=4 needs {need / 1e6:.1f} MB"):
+            sgd_train(train, heldout, cfg, op)
+        assert calls == []
+        monkeypatch.setattr(training, "available_memory", lambda: need)
+        assert sgd_train(train, heldout, cfg, op).epoch == 1
+        assert len(calls) == len(train) + len(heldout)
+
+
 class TestPrescan:
     def test_returns_power_of_ten(self, simulated_problem):
         sc, op, train, _ = simulated_problem
@@ -686,6 +785,43 @@ class TestUpsampleMatrix:
         got = out[interior, interior]
         expected = np.broadcast_to(fx[interior][:, None], got.shape)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("coarse, fine", [(4, 16), (16, 64), (3, 64), (7, 67), (5, 3)])
+    def test_factored_map_matches_the_sparse_matrix(self, coarse, fine):
+        # expand_values is the product with _upsample_matrix and pull_back
+        # with its transpose, both applied in float32 through the 1-D
+        # factor: within 8 float32 epsilons of the largest float64 entry
+        param = _WeightParam(ImageGrid(n=fine), 5, coarse)
+        u = _upsample_matrix(coarse, fine)
+        rng = np.random.default_rng(coarse * fine)
+        v = rng.uniform(0.5, 1.5, (5, coarse**2)).astype(training.DTYPE)
+        g = rng.standard_normal((5, fine**2)).astype(training.DTYPE)
+        for got, expected in ((param.expand_values(v), (u @ v.T.astype(np.float64)).T),
+                              (param.pull_back(g), (u.T @ g.T.astype(np.float64)).T)):
+            assert got.dtype == training.DTYPE and got.flags.c_contiguous
+            np.testing.assert_allclose(got, expected, rtol=0, atol=8 * np.finfo(np.float32).eps * np.abs(expected).max())
+
+    def test_pull_back_is_the_adjoint_of_expand(self):
+        param = _WeightParam(ImageGrid(n=20), 3, 6)
+        rng = np.random.default_rng(8)
+        v, g = rng.standard_normal((3, 36)), rng.standard_normal((3, 400))
+        assert np.vdot(param.expand_values(v), g) == pytest.approx(np.vdot(v, param.pull_back(g)), rel=1e-12)
+
+    def test_no_whole_image_temporary(self):
+        # at 64^2 with 20 detectors and a 16^2 grid, the temporaries are
+        # (n_s, 64, 16): a quarter of a whole-image (n_s, 64^2) array
+        param = _WeightParam(ImageGrid(n=64), 20, 16)
+        rng = np.random.default_rng(9)
+        v = rng.uniform(0.5, 1.5, (20, 256)).astype(training.DTYPE)
+        g = rng.standard_normal((20, 64 * 64)).astype(training.DTYPE)
+        for apply, arg, result_bytes in ((param.expand_values, v, g.nbytes), (param.pull_back, g, v.nbytes)):
+            tracemalloc.start()
+            try:
+                apply(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < result_bytes + g.nbytes / 2
 
     def test_shape_and_sparsity(self):
         u = _upsample_matrix(4, 12)
