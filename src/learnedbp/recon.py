@@ -15,27 +15,26 @@ interpolation; an exact mode computes the closed-form quadrature at
 every pixel distance instead.
 
 Contributions are made in two steps: tabulate filters one sample's data
-and, in table mode, tabulates the integral; gather reads a pixel block's
-b from that, in table mode by one flat gather of the table and one of
-its node-to-node steps at offsets idx * n_s + j computed once per
-operator.  contrib, apply and standard work in blocks of PIXEL_BLOCK
-pixels.  apply and standard reduce each block as it is made, so a
-reconstruction holds one block of temporaries, never the whole (n^2, n_s)
-contributions; they check each reduced block for finiteness, while
-contrib checks the whole tensor once; standard_and_apply makes both
-sums from one gather of each block.  The weighted sum reduces the
-detector axis 0 of its arrays: apply passes transposed views of
-pixel-major blocks, and the training loop holds its blocks
-detector-major, (n_s, pixels).
+and, in table mode, tabulates the integral t; gather reads a pixel
+block's b from that.  In table mode b(p, j) = geom (1 - frac) t[idx, j]
++ geom frac t[idx + 1, j] is a fixed linear map with two nonzeros per
+(pixel, detector), kept as one CSR matrix per block (rows p * n_s + j),
+so a gather is one sparse product; exact mode keeps geom and the
+distances and evaluates the quadrature at each.  The operator's blocks
+of PIXEL_BLOCK pixels serve contrib, apply, standard and training alike.
+apply and standard reduce each block as it is made, never holding the
+whole (n^2, n_s) b, and check each reduced block for finiteness;
+standard_and_apply makes both sums from one gather of each block.  The
+weighted sum reduces the detector axis 0 of its arrays: apply passes
+transposed views of pixel-major blocks, training detector-major blocks.
 
-The operator's own (n^2, n_s) arrays are built in the same blocks: they
-are allocated first and filled PIXEL_BLOCK rows at a time, so the build
-peaks a few MB above what it keeps.  Traced with tracemalloc, table mode
-keeps 34.9 MiB at 256^2 with 20 detectors and peaks at 39.5 MiB (86.0 MiB
-when built over the whole image at once), and keeps 154.9 MiB at 256^2
-with 100 detectors, peaking at 170 MiB (406 MiB).  Before allocating,
-the build compares its footprint (operator_bytes) with the memory
-available to the process and raises ConfigError when it does not fit.
+The build runs in the same blocks and peaks a few MB above what it
+keeps.  Traced with tracemalloc, table mode keeps 39.9 MiB at 256^2 with
+20 detectors (the quadrature table included) and peaks at 42.0 MiB, and
+keeps 179.9 MiB with 100 detectors, peaking at 186.1 MiB.  Before
+allocating, the build compares its footprint (operator_bytes) with the
+memory available to the process and raises ConfigError when it does
+not fit.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConfigError, ShapeMismatchError
 from .forward import SensorData, time_derivative
@@ -51,11 +51,14 @@ from .memory import available_memory, require
 from .phantoms import Image
 
 TABLE_NODES_PER_DT = 4
-# pixels per block of contributions: about 0.7 MB per temporary at 20 detectors
-PIXEL_BLOCK = 4096
+# pixels per block, for reconstruction and training alike: a block's b at
+# 20 detectors is 160 kB in float64, and every training sample's b of one
+# block, in float32, stays in cache while all epochs run on it
+PIXEL_BLOCK = 1024
 # (PIXEL_BLOCK, n_s) float64 arrays counted for the temporaries of an operator
-# build: at 256^2 its traced peak exceeded the kept arrays and the table by
-# 4.8 to 7.3 of them (table mode at 20 and 100 detectors, exact mode at 20)
+# build: at 256^2 its traced peak exceeded the kept arrays, the table and the
+# pixel centers by 7.4, 6.7 and 6.1 of them (table mode at 20 and 100
+# detectors, exact mode at 20)
 BUILD_TEMPORARIES = 10
 
 
@@ -168,13 +171,23 @@ def integral_weights(d: np.ndarray, time: TimeGrid, sound_speed: float = 1.0) ->
     return weights
 
 
+def pixel_blocks(n_px: int) -> list:
+    """Slices of PIXEL_BLOCK pixels.  numpy sums a one-pixel block's
+    detectors pairwise, not row by row, so a lone last pixel joins the
+    block before."""
+    bounds = list(range(0, max(n_px - 1, 1), max(PIXEL_BLOCK, 2))) + [n_px]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def operator_bytes(n_px: int, n_s: int, n_t: int, exact: bool) -> int:
-    """Footprint of a BackprojectionOperator build: the (n^2, n_s) arrays
-    it keeps (geom and dist, or geom, flat offsets and fractions), the
-    quadrature table in table mode, and one pixel block of temporaries."""
-    kept = (2 if exact else 3) * n_px * n_s * 8
+    """Footprint of a BackprojectionOperator build: what it keeps per
+    (pixel, detector), geom and dist (16 B) or a gather matrix row (two
+    float64 values, two int32 indices and an int32 row pointer, 28 B), the
+    quadrature table in table mode, the pixel centers, and one pixel block
+    of temporaries."""
+    kept = n_px * n_s * (16 if exact else 28)
     table = 0 if exact else (TABLE_NODES_PER_DT * n_t + 1) * n_t * 8
-    return kept + table + BUILD_TEMPORARIES * min(PIXEL_BLOCK, n_px) * n_s * 8
+    return kept + table + n_px * 16 + BUILD_TEMPORARIES * min(PIXEL_BLOCK, n_px) * n_s * 8
 
 
 class BackprojectionOperator:
@@ -182,17 +195,10 @@ class BackprojectionOperator:
 
     Everything that does not depend on the measured data (the geometric
     factor (1/pi) <nu, x-s> ds, the singular integral quadrature matrix
-    and the table-lookup offsets) is built once here, so training loops
-    and batch evaluations pay only two small matrix products per sample.
-    The pixel-detector distances are kept only in exact mode, which
-    evaluates the quadrature at each of them; table mode keeps their
-    flat lookup offsets and fractions instead.
-
+    and the table lookups) is built once here, so training loops and batch
+    evaluations pay only two small matrix products per sample.
     Contributions come from :meth:`tabulate`, once per sample, and
-    :meth:`gather`, once per pixel block, in both modes.  :meth:`contrib`
-    writes PIXEL_BLOCK blocks into one tensor, while :meth:`apply` and
-    :meth:`standard` reduce each block as it comes and never hold the
-    whole of b.
+    :meth:`gather`, once per pixel block of :attr:`blocks`, in both modes.
     """
 
     def __init__(
@@ -218,48 +224,54 @@ class BackprojectionOperator:
             operator_bytes(n_px, n_s, time.n_t, exact),
             available_memory(),
         )
-        # the kept arrays first, then their rows filled block by block
-        self.geom = np.empty((n_px, n_s))
-        if exact:
-            self.dist = np.empty((n_px, n_s))
-        else:
-            self._flat = np.empty((n_px, n_s), dtype=np.int64)
-            self._frac = np.empty((n_px, n_s))
-        n_d = TABLE_NODES_PER_DT * time.n_t
-        step = sound_speed * time.t_final / n_d
+        self.blocks = pixel_blocks(n_px)
         tau_max = sound_speed * time.samples()[-1]
         pixels = grid.pixel_centers().reshape(-1, 2)
-        for start in range(0, n_px, PIXEL_BLOCK):
-            self._build_rows(slice(start, start + PIXEL_BLOCK), pixels, tau_max, step, n_d)
-        if not exact:
-            self._table_matrix = integral_weights(np.arange(n_d + 1) * step, time, sound_speed)
+        if exact:
+            # the kept arrays first, then their rows filled block by block
+            self.geom, self.dist = np.empty((2, n_px, n_s))
+            for span in self.blocks:
+                self.geom[span], self.dist[span] = self._block_geometry(pixels[span], tau_max)
+            return
+        n_d = TABLE_NODES_PER_DT * time.n_t
+        step = sound_speed * time.t_final / n_d
+        # the table first, so that its build's temporaries come before the kept matrices
+        self._table_matrix = integral_weights(np.arange(n_d + 1) * step, time, sound_speed)
+        self._gather_matrices = [
+            self._gather_matrix(*self._block_geometry(pixels[span], tau_max), step, n_d) for span in self.blocks
+        ]
 
-    def _build_rows(self, span: slice, pixels: np.ndarray, tau_max: float, step: float, n_d: int):
-        """Fill rows ``span`` of the kept arrays; the block's temporaries
-        are freed on return."""
+    def _block_geometry(self, pixels: np.ndarray, tau_max: float):
+        """The geometric factor and the distances of ``pixels``, (pixels, n_s) each."""
         detectors = self.detectors
-        diff = pixels[span, None, :] - detectors.positions[None, :, :]
+        diff = pixels[:, None, :] - detectors.positions[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
         if np.any(dist == 0.0):
             raise ConfigError("a pixel center coincides with a detector position")
         outward_dot = np.einsum("psk,sk->ps", diff, detectors.normals)
-        geom = self.geom[span]
         # the 1/pi constant makes the unweighted sum an exact inversion of
         # the forward solution formula on dense full-view data (verified
         # against a high-precision radial quadrature oracle)
-        geom[:] = (1.0 / np.pi) * outward_dot * detectors.arc_weight
+        geom = (1.0 / np.pi) * outward_dot * detectors.arc_weight
         # causality: contributions vanish once the distance exceeds the window
         geom[dist >= tau_max] = 0.0
-        if self.exact:
-            self.dist[span] = dist
-            return
+        return geom, dist
+
+    def _gather_matrix(self, geom: np.ndarray, dist: np.ndarray, step: float, n_d: int):
+        """The block's b as a sparse map of the raveled (n_d + 1, n_s) table:
+        row p * n_s + j interpolates column j at dist[p, j], times geom[p, j]."""
+        n_s = self.detectors.n_s
         pos = dist / step
-        flat = self._flat[span]
-        np.minimum(pos.astype(np.int64), n_d - 1, out=flat)
-        np.subtract(pos, flat, out=self._frac[span])
-        # flat offsets idx * n_s + j into the row-major (n_d, n_s) table
-        flat *= detectors.n_s
-        flat += np.arange(detectors.n_s)
+        idx = np.minimum(pos.astype(np.int64), n_d - 1)
+        frac = pos - idx
+        values = np.empty(dist.shape + (2,))
+        np.multiply(geom, 1.0 - frac, out=values[..., 0])
+        np.multiply(geom, frac, out=values[..., 1])
+        columns = np.empty(dist.shape + (2,), dtype=np.int32)
+        columns[..., 0] = idx * n_s + np.arange(n_s)
+        columns[..., 1] = columns[..., 0] + n_s
+        indptr = np.arange(0, 2 * dist.size + 1, 2, dtype=np.int32)
+        return scipy.sparse.csr_array((values.ravel(), columns.ravel(), indptr), shape=(dist.size, (n_d + 1) * n_s))
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, exact: bool = False) -> "BackprojectionOperator":
@@ -286,41 +298,32 @@ class BackprojectionOperator:
         rows = self.time.n_t if self.exact else self._table_matrix.shape[0]
         return rows * self.detectors.n_s * 8
 
-    def gather(self, table: np.ndarray, span: slice) -> np.ndarray:
-        """Rows ``span`` of the flattened (n^2, n_s) contributions b, read
-        from one sample's :meth:`tabulate` output."""
-        if self.exact:
-            b = np.empty_like(self.dist[span])
-            for j in range(self.detectors.n_s):
-                # a row-wise sum, not BLAS gemv, whose last bits depend
-                # on the row count and the thread split
-                a_mat = integral_weights(self.dist[span, j], self.time, self.sound_speed)
-                a_mat *= table[:, j]
-                b[:, j] = a_mat.sum(axis=1)
-        else:
-            # table[idx] + frac * (table[idx + 1] - table[idx]), gathered
-            # by flat offsets into the row-major (n_d, n_s) arrays
-            flat = self._flat[span]
-            b = (table[1:] - table[:-1]).take(flat)
-            b *= self._frac[span]
-            b += table.take(flat)
+    def gather(self, table: np.ndarray, k: int) -> np.ndarray:
+        """The rows of block ``k`` of the flattened (n^2, n_s) contributions
+        b, read from one sample's :meth:`tabulate` output."""
+        if not self.exact:
+            return (self._gather_matrices[k] @ table.ravel()).reshape(-1, self.detectors.n_s)
+        span = self.blocks[k]
+        b = np.empty_like(self.dist[span])
+        for j in range(self.detectors.n_s):
+            # a row-wise sum, not BLAS gemv, whose last bits depend
+            # on the row count and the thread split
+            a_mat = integral_weights(self.dist[span, j], self.time, self.sound_speed)
+            a_mat *= table[:, j]
+            b[:, j] = a_mat.sum(axis=1)
         b *= self.geom[span]
         return b
 
-    def _contrib_blocks(self, data: SensorData):
-        """Yield (pixel slice, b) for PIXEL_BLOCK pixels at a time."""
-        table = self.tabulate(data)
-        for start in range(0, self.geom.shape[0], PIXEL_BLOCK):
-            span = slice(start, start + PIXEL_BLOCK)
-            yield span, self.gather(table, span)
+    def gather_image(self, table: np.ndarray) -> np.ndarray:
+        """The whole flattened (n^2, n_s) contributions b, block by block."""
+        b = np.empty((self.grid.n**2, self.detectors.n_s))
+        for k, span in enumerate(self.blocks):
+            b[span] = self.gather(table, k)
+        return b
 
     def contrib(self, data: SensorData) -> ContribTensor:
         """Per-detector contributions b(x, s_j) for one data matrix."""
-        n, n_s = self.grid.n, self.detectors.n_s
-        values = np.empty((n * n, n_s))
-        for span, b in self._contrib_blocks(data):
-            values[span] = b
-        return ContribTensor(values.reshape(n, n, n_s), self.grid)
+        return ContribTensor(self.gather_image(self.tabulate(data)).reshape(self.grid.n, self.grid.n, -1), self.grid)
 
     def apply(self, weights: WeightTensor, data: SensorData) -> Image:
         """sum_j W^2 b for one data matrix, reduced block by block."""
@@ -343,8 +346,10 @@ class BackprojectionOperator:
 
     def _reduce_blocks(self, data: SensorData, *reducers) -> tuple[Image, ...]:
         """The images of each reduce(span, b) over each block's pixels."""
-        images = np.empty((len(reducers), self.geom.shape[0]))
-        for span, b in self._contrib_blocks(data):
+        images = np.empty((len(reducers), self.grid.n**2))
+        table = self.tabulate(data)
+        for k, span in enumerate(self.blocks):
+            b = self.gather(table, k)
             for image, reduce in zip(images, reducers):
                 image[span] = reduce(span, b)
             # weights are finite, so a non-finite b always makes its pixel's

@@ -4,17 +4,16 @@ The objective is the mean squared reconstruction error over a set of
 (sensor data, source image) pairs.  Because the reconstruction is
 sum_j W^2 b with b independent of W, the gradient has the closed form
 4 * (recon - truth) * W * b.  Full-resolution weights separate by
-pixel, so training tabulates each sample once per run and trains block
-by block of TRAIN_BLOCK pixels: the epochs run in segments that end at
-the checkpoint epochs, and per segment and block b is gathered once.
-The weights are bitwise those of whole-image epochs.  The coarse weight
-grid couples pixels, so its one block is the whole image, gathered once
-per run.  Training is plain SGD, batch size one by default,
-deterministic given the dataset and the config.  One SGD pass serves
-the training epochs and the pre-scan's probe epochs alike: a step
-writes its gradient into one buffer and updates the weights in place.
-Divergence is checked once per epoch and block; the weight tensors
-handed out own their arrays.
+pixel, so training tabulates each sample once per run and trains on the
+operator's pixel blocks: the epochs run in segments that end at the
+checkpoint epochs, and per segment and block b is gathered once.  The
+weights are bitwise those of whole-image epochs.  The coarse weight grid
+couples pixels, so its one block is the whole image, gathered once per
+run.  Training is plain SGD, batch size one by default, deterministic
+given the dataset and the config.  One SGD pass serves the training
+epochs and the pre-scan's probe epochs alike: a step writes its gradient
+into one buffer and updates the weights in place.  Divergence is checked
+once per epoch and block; the weight tensors handed out own their arrays.
 
 Training arrays are detector-major: the parameters, each block's b and
 weights, and the gradient buffer are C-contiguous (n_s, pixels) rows, so
@@ -29,10 +28,10 @@ interpolation factor.  The data files and checkpoints store float32, so
 float64 there would hold nothing the files keep, and a step moves half
 the bytes.  The per-sample tables stay float64, as op.tabulate returns
 them; WeightTensor casts to float64 exactly, so a checkpoint holds the
-trained weights bitwise.  grad, loss and sample_loss stay in float64.
-Before tabulating, sgd_train compares its footprint (training_bytes)
-with the memory available to the process and raises ConfigError when
-it does not fit.
+trained weights bitwise, and each frees the one before it.  grad, loss
+and sample_loss stay in float64.  Before tabulating, sgd_train compares
+its footprint (training_bytes) with the memory available to the process
+and raises ConfigError when it does not fit.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ from .recon import BackprojectionOperator, WeightTensor
 
 PROBE_SAMPLES = 5
 PROBE_STEPS = 5
-# pixels per training block: every sample's b of one block, a C-contiguous
-# (n_s, 1024) array of 1024 * n_s * 4 bytes, stays in cache while all
-# epochs run on it
-TRAIN_BLOCK = 1024
 # dtype of the arrays the SGD loop streams (see the module docstring)
 DTYPE = np.float32
 
@@ -221,10 +216,11 @@ class _WeightParam:
         return (self.line @ (values.reshape(-1, m) @ self.line.T).reshape(-1, m, n)).reshape(-1, n * n)
 
     def expand(self, values: np.ndarray) -> WeightTensor:
-        """Validated pixel-major float64 tensor that owns its array, so that
-        later in-place updates of ``values`` do not reach it."""
+        """Validated pixel-major float64 tensor, one C-contiguous copy of its
+        own, so that later in-place updates of ``values`` do not reach it."""
         n = self.grid.n
-        return WeightTensor(np.array(self.expand_values(values).T.reshape(n, n, self.n_s), dtype=np.float64), self.grid)
+        full = np.ascontiguousarray(self.expand_values(values).T, dtype=np.float64)
+        return WeightTensor(full.reshape(n, n, self.n_s), self.grid)
 
     def pull_back(self, full_grad: np.ndarray) -> np.ndarray:
         """The adjoint of expand_values, applied to a (n_s, n^2) gradient."""
@@ -328,32 +324,29 @@ def prescan_learning_rate(param: _WeightParam, values: np.ndarray, contribs: lis
     raise DivergenceError("learning-rate pre-scan found no stable step size; data may be degenerate")
 
 
-def _blocks(n_px: int, weight_grid: int | None) -> list:
-    """The pixel blocks training runs on: TRAIN_BLOCK pixels each at full
-    resolution, the whole image with a weight grid."""
-    size = TRAIN_BLOCK if weight_grid is None else n_px
-    # numpy sums a one-pixel block's detectors pairwise, not row by row, so
-    # a block holds at least two pixels and a lone last pixel joins the one before
-    bounds = list(range(0, n_px - 1, max(size, 2))) + [n_px]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+def _whole_image(op: BackprojectionOperator, cfg: TrainConfig) -> bool:
+    """Whether training runs on the whole image as one block, not on the
+    operator's blocks: with a weight grid, which couples pixels, or one block."""
+    return cfg.weight_grid is not None or len(op.blocks) == 1
 
 
 def training_bytes(op: BackprojectionOperator, cfg: TrainConfig, n_train: int, n_heldout: int) -> int:
     """Footprint of sgd_train's own arrays, summed over its phases: every
-    sample's float64 table; in DTYPE, every sample's b of one block and
-    one more being gathered, two block-sized buffers, the parameters and
-    a copy, and, when the pre-scan runs on several blocks, its
-    whole-image probes and gradient buffer; in float64, three weight
-    tensors (the one handed out, its successor and the temporaries of
-    its cast) and the b and temporary of the largest gather."""
+    sample's float64 table; in DTYPE, every sample's flat truth and b of
+    one block and one more being gathered, two block-sized buffers, the
+    parameters and a copy, and, when the pre-scan runs on several blocks,
+    its whole-image probes and gradient buffer; in float64, the weight
+    tensor and the b of the largest gather, one operator block's product
+    and, for a whole image, the image it is written into."""
     n_px, n_s, n_samples = op.grid.n**2, op.detectors.n_s, n_train + n_heldout
-    spans = _blocks(n_px, cfg.weight_grid)
-    block = max(span.stop - span.start for span in spans)
+    op_block = max(span.stop - span.start for span in op.blocks)
+    whole = _whole_image(op, cfg)
+    block = n_px if whole else op_block
     side = op.grid.n if cfg.weight_grid is None else cfg.weight_grid
     prescan = cfg.learning_rate is None
-    probes = min(PROBE_SAMPLES, n_train) + 1 if prescan and len(spans) > 1 else 0
-    streamed = ((n_samples + 3) * block + probes * n_px + 2 * side * side) * n_s
-    wide = (3 * n_px + 2 * (n_px if prescan else block)) * n_s
+    probes = min(PROBE_SAMPLES, n_train) + 1 if prescan and not whole else 0
+    streamed = ((n_samples + 3) * block + probes * n_px + 2 * side * side) * n_s + n_samples * n_px
+    wide = (n_px + op_block + (n_px if prescan or whole else 0)) * n_s
     return n_samples * op.table_bytes() + streamed * np.dtype(DTYPE).itemsize + wide * 8
 
 
@@ -389,7 +382,8 @@ def sgd_train(
     values = param.init_values(cfg.init, reader=weight_reader)
     state = TrainState(param.expand(values))  # validated before the pre-scan trains on it
     samples = list(train_pairs) + list(heldout_pairs)
-    spans = _blocks(n * n, cfg.weight_grid)
+    whole = _whole_image(op, cfg)
+    spans = [slice(0, n * n)] if whole else op.blocks
     # fail before tabulating rather than swap
     require(
         f"training on {len(samples)} samples at n={n}, n_s={op.detectors.n_s}",
@@ -399,20 +393,20 @@ def sgd_train(
     # every sample is checked here, before any callback may write
     tables = [op.tabulate(data) for data, _ in samples]
     truths = [truth.values.reshape(-1).astype(DTYPE) for _, truth in samples]
-    if len(spans) == 1:
+    if whole:
         # the one block's b is gathered once, each replacing its sample's table
-        for k, table in enumerate(tables):
-            tables[k] = _detector_major(op.gather(table, spans[0]), DTYPE)
+        for i, table in enumerate(tables):
+            tables[i] = _detector_major(op.gather_image(table), DTYPE)
         contribs, tables = tables, []
     else:
         contribs = [None] * len(samples)
     lr = cfg.learning_rate
     if lr is None:
         # the probes' whole-image b: with one block, the b just gathered
-        k = min(PROBE_SAMPLES, n_train)
-        probes = (contribs[:k] if len(spans) == 1
-                  else [_detector_major(op.gather(table, slice(None)), DTYPE) for table in tables[:k]])
-        lr = prescan_learning_rate(param, values, probes, truths[:k])
+        n_probes = min(PROBE_SAMPLES, n_train)
+        probes = (contribs[:n_probes] if whole
+                  else [_detector_major(op.gather_image(table), DTYPE) for table in tables[:n_probes]])
+        lr = prescan_learning_rate(param, values, probes, truths[:n_probes])
         del probes  # several blocks gather their own b below
     state.learning_rate = lr
     if checkpoint is not None:
@@ -424,12 +418,12 @@ def sgd_train(
         last = done = min(first + every - 1, cfg.epochs)
         orders = [epoch_order(cfg.shuffle_seed, epoch, n_train) for epoch in range(first, last + 1)]
         train_sums, heldout_sums, walls = [[0.0] * len(orders) for _ in range(3)]
-        for span in spans:
+        for k, span in enumerate(spans):
             if done < first:
                 break  # a block diverged in the segment's first epoch: no later block runs an epoch
-            if len(spans) > 1:  # several blocks gather their b again each segment, each replacing the last block's
-                for k, table in enumerate(tables):
-                    contribs[k] = _detector_major(op.gather(table, span), DTYPE)
+            if not whole:  # several blocks gather their b again each segment, each replacing the last block's
+                for i, table in enumerate(tables):
+                    contribs[i] = _detector_major(op.gather(table, k), DTYPE)
             # a full-resolution block trains a contiguous copy of its weight columns
             params = values if cfg.weight_grid is not None else values[:, span].copy()
             block_truths = [truth[span] for truth in truths]
@@ -453,6 +447,7 @@ def sgd_train(
             state.train_losses.append(train_sums[epoch - first] / n_train)
             state.heldout_losses.append(heldout_sums[epoch - first] / len(heldout_pairs) if heldout_pairs else float("nan"))
             if epoch == last:
+                state.weights = None  # the previous tensor is freed before its successor is made
                 state.weights = param.expand(values)
                 if checkpoint is not None:
                     checkpoint(epoch, state.weights)

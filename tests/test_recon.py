@@ -210,18 +210,19 @@ class TestBackprojection:
             assert np.all(b.values[:, :, j][far] == 0.0)
 
     def test_in_place_contrib_and_apply_match_plain_expressions_bitwise(self):
-        # contrib and apply_values work in place; the operations and their
-        # order are those of the plain expressions, so results are bitwise equal
+        # contrib writes each block's sparse product into its tensor and
+        # apply_values works in place; the operations and their order are
+        # those of the plain expressions, so results are bitwise equal
         sc = _scenario(n=24, n_s=5, n_t=80)
         op = BackprojectionOperator.from_scenario(sc)
         data = _smooth_data(sc, seed=10)
         table = op._table_matrix @ time_filter(data, op.sound_speed)
-        # the flat gather offsets are idx * n_s + j, j the detector column
-        assert np.array_equal(op._flat % 5, np.broadcast_to(np.arange(5), op._flat.shape))
-        idx = op._flat // 5
+        built = _whole_image_build(sc.grid, sc.detectors, sc.time, op.sound_speed, exact=False)
+        geom, idx, frac = built["geom"], built["idx"], built["frac"]
         lo = np.take_along_axis(table, idx, axis=0)
         hi = np.take_along_axis(table, idx + 1, axis=0)
-        expected = (op.geom * (lo + op._frac * (hi - lo))).reshape(24, 24, 5)
+        # a row's sum starts from +0.0, so the two compare equal, not bitwise, at -0.0
+        expected = (geom * (1.0 - frac) * lo + geom * frac * hi).reshape(24, 24, 5)
         b = op.contrib(data).values
         assert np.array_equal(b, expected)
         w = np.random.default_rng(11).standard_normal(b.shape)
@@ -275,11 +276,13 @@ class TestBackprojection:
 
     def test_table_mode_keeps_no_distance_array(self):
         sc = _scenario(n=16, n_s=4, n_t=40)
-        per_pixel_detector = sc.grid.n**2 * sc.detectors.n_s * 8
         table = BackprojectionOperator.from_scenario(sc)
-        held = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
-        # geometry factor, lookup indices and fractions, plus the quadrature table
-        assert held <= 3 * per_pixel_detector + table._table_matrix.nbytes
+        assert not {"geom", "dist", "_flat", "_frac"} & set(vars(table))
+        # per (pixel, detector) row of a gather matrix: two float64 values,
+        # two int32 columns and an int32 row pointer; one more pointer per
+        # block, plus the quadrature table
+        rows = sc.grid.n**2 * sc.detectors.n_s
+        assert _kept_bytes(table) == 28 * rows + 4 * len(table.blocks) + table._table_matrix.nbytes
         exact = BackprojectionOperator.from_scenario(sc, exact=True)
         assert exact.dist.shape == (sc.grid.n**2, sc.detectors.n_s)
 
@@ -300,6 +303,20 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.int64)
 
 
+def _kept_bytes(op):
+    """Bytes of the arrays an operator keeps, its gather matrices' included."""
+    held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+    for matrix in getattr(op, "_gather_matrices", []):
+        held += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    return held
+
+
+def _built(monkeypatch, block, *args, **kwargs):
+    """An operator built in blocks of ``block`` pixels."""
+    monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+    return BackprojectionOperator.from_scenario(*args, **kwargs)
+
+
 class TestPixelBlocks:
     @pytest.mark.parametrize("exact", [False, True])
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch, exact):
@@ -313,9 +330,21 @@ class TestPixelBlocks:
         image = op.apply(weights, data).values
         assert np.array_equal(_bits(image), _bits(op.apply_to_contrib(weights, b).values))
         for block in (1, 7, n * n + 1):
-            monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+            op = _built(monkeypatch, block, sc, exact=exact)
             assert np.array_equal(_bits(op.contrib(data).values), _bits(b.values))
             assert np.array_equal(_bits(op.apply(weights, data).values), _bits(image))
+
+    def test_blocks_partition_the_pixels(self, monkeypatch):
+        # a lone last pixel joins the block before: numpy sums one pixel's
+        # detectors pairwise, not row by row
+        assert recon.pixel_blocks(1) == [slice(0, 1)]
+        assert recon.pixel_blocks(5000)[-1] == slice(4096, 5000)
+        for block, n_px, sizes in ((1, 5, [2, 3]), (7, 15, [7, 8]), (7, 16, [7, 7, 2]), (4, 4, [4])):
+            monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+            blocks = recon.pixel_blocks(n_px)
+            assert [span.stop - span.start for span in blocks] == sizes
+            assert blocks[0].start == 0 and blocks[-1].stop == n_px
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_sums_keep_their_pixel_major_bits_at_twenty_detectors(self, monkeypatch, block):
@@ -324,7 +353,7 @@ class TestPixelBlocks:
         # terms on; training's detector-major sum adds the rows in order
         n, n_s = 67, 20
         sc = _scenario(n=n, n_s=n_s, n_t=40)
-        op = BackprojectionOperator.from_scenario(sc)
+        op = _built(monkeypatch, block, sc)
         data = _smooth_data(sc, seed=18)
         weights = WeightTensor(np.random.default_rng(19).uniform(0.5, 1.5, (n, n, n_s)), sc.grid)
         b = op.contrib(data)
@@ -335,7 +364,6 @@ class TestPixelBlocks:
         for j in range(n_s):
             in_order += w_rows[:, j] ** 2 * b_rows[:, j]
         assert not np.array_equal(_bits(in_order.reshape(n, n)), _bits(weighted))  # the orders differ here
-        monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
         assert np.array_equal(_bits(op.apply(weights, data).values), _bits(weighted))
         assert np.array_equal(_bits(op.apply_to_contrib(weights, b).values), _bits(weighted))
         assert np.array_equal(_bits(b.sum_image().values), _bits(plain))
@@ -349,7 +377,7 @@ class TestPixelBlocks:
         data = _smooth_data(sc, seed=21)
         weights = WeightTensor(np.random.default_rng(22).uniform(0.5, 1.5, (n, n, n_s)), sc.grid)
         plain, weighted = op.standard(data).values, op.apply(weights, data).values
-        monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+        op = _built(monkeypatch, block, sc, exact=exact)
         tabulate = op.tabulate
         calls = []
         monkeypatch.setattr(op, "tabulate", lambda d: calls.append(d) or tabulate(d))
@@ -362,23 +390,30 @@ class TestPixelBlocks:
             with pytest.raises(ShapeMismatchError, match="contributions must be finite"):
                 op.standard_and_apply(weights, overflowing)
 
-    @pytest.mark.parametrize("start, stop", [(0, 4096), (0, 1), (1000, 1007), (4096, 4489), (4480, 5000)])
-    def test_gather_matches_the_step_table_expression_bitwise(self, start, stop):
-        # the gather as it was before tabulating and gathering were split:
-        # the table and its node-to-node steps, both made once per sample
+    @pytest.mark.parametrize("block", [1, 7, 1024, 4096, 5000])
+    def test_each_block_matches_the_step_table_gather(self, monkeypatch, block):
+        # the oracle is the gather the gather matrices replaced: one flat
+        # take of the table and one of its node-to-node steps at offsets
+        # idx * n_s + j, times the geometric factor; the sparse product
+        # sums geom (1 - frac) t[idx] and geom frac t[idx + 1] instead, so
+        # the two agree to rounding: within 1e-15 of the peak (measured: at
+        # most 2.1e-16 here, 3.1e-16 at 256^2 with 20 detectors)
         n, n_s = 67, 3
         sc = _scenario(n=n, n_s=n_s, n_t=40)
-        op = BackprojectionOperator.from_scenario(sc)
+        op = _built(monkeypatch, block, sc)
         data = _smooth_data(sc, seed=16)
-        table = op._table_matrix @ time_filter(data, op.sound_speed)
+        table = op.tabulate(data)
+        built = _whole_image_build(sc.grid, sc.detectors, sc.time, op.sound_speed, exact=False)
+        flat = built["idx"] * n_s + np.arange(n_s)
         step = table[1:] - table[:-1]
-        span = slice(start, stop)
-        flat = op._flat[span]
-        expected = step.take(flat) * op._frac[span] + table.take(flat)
-        expected *= op.geom[span]
-        assert np.array_equal(_bits(op.gather(op.tabulate(data), span)), _bits(expected))
+        expected = (step.take(flat) * built["frac"] + table.take(flat)) * built["geom"]
+        peak = np.abs(expected).max()
+        assert [op.blocks[0].start, op.blocks[-1].stop] == [0, n * n]
+        for k, span in enumerate(op.blocks):
+            np.testing.assert_allclose(op.gather(table, k), expected[span], rtol=0, atol=1e-15 * peak)
+        np.testing.assert_allclose(op.contrib(data).values.reshape(-1, n_s), expected, rtol=0, atol=1e-15 * peak)
 
-    def test_exact_gather_matches_contrib_rows_bitwise(self):
+    def test_exact_gather_matches_contrib_rows_bitwise(self, monkeypatch):
         n, n_s = 20, 3
         sc = _scenario(n=n, n_s=n_s, n_t=40)
         op = BackprojectionOperator.from_scenario(sc, exact=True)
@@ -386,8 +421,10 @@ class TestPixelBlocks:
         b = op.contrib(data).values.reshape(-1, n_s)
         q = op.tabulate(data)
         assert np.array_equal(_bits(q), _bits(time_filter(data, op.sound_speed)))
-        for span in (slice(0, 7), slice(7, 300), slice(390, 400), slice(0, n * n)):
-            assert np.array_equal(_bits(op.gather(q, span)), _bits(b[span]))
+        for block in (7, 300, n * n):
+            op = _built(monkeypatch, block, sc, exact=True)
+            for k, span in enumerate(op.blocks):
+                assert np.array_equal(_bits(op.gather(q, k)), _bits(b[span]))
 
     def test_apply_holds_less_than_one_contribution_tensor(self):
         sc = make_scenario("B_sparse", n=256, n_s=20, n_t=400)
@@ -420,10 +457,7 @@ def _whole_image_build(grid, detectors, time, sound_speed, exact):
     n_d = recon.TABLE_NODES_PER_DT * time.n_t
     pos = dist / (sound_speed * time.t_final / n_d)
     idx = np.minimum(pos.astype(np.int64), n_d - 1)
-    frac = pos - idx
-    idx *= detectors.n_s
-    idx += np.arange(detectors.n_s)
-    return {"geom": geom, "_flat": idx, "_frac": frac}
+    return {"geom": geom, "idx": idx, "frac": pos - idx}
 
 
 class TestBlockedBuild:
@@ -437,8 +471,23 @@ class TestBlockedBuild:
         monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
         op = BackprojectionOperator(sc.grid, sc.detectors, sc.time, 1.25, exact)
         held = {k: v for k, v in vars(op).items() if isinstance(v, np.ndarray)}
-        assert set(held) == set(expected) | (set() if exact else {"_table_matrix"})
         assert (expected["geom"] == 0.0).any() and (expected["geom"] != 0.0).any()
+        if not exact:
+            # the gather matrices' rows as the whole-image arrays give them
+            assert set(held) == {"_table_matrix"}
+            geom, idx, frac = expected["geom"], expected["idx"], expected["frac"]
+            values = np.stack([geom * (1.0 - frac), geom * frac], axis=-1)
+            columns = idx * 5 + np.arange(5)
+            columns = np.stack([columns, columns + 5], axis=-1).astype(np.int32)
+            for span, matrix in zip(op.blocks, op._gather_matrices):
+                rows = (span.stop - span.start) * 5
+                assert matrix.shape == (rows, (recon.TABLE_NODES_PER_DT * 40 + 1) * 5)
+                assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+                assert np.array_equal(matrix.indptr, np.arange(0, 2 * rows + 1, 2))
+                assert np.array_equal(matrix.indices, columns[span].ravel())
+                assert np.array_equal(_bits(matrix.data), _bits(values[span].ravel()))
+            return
+        assert set(held) == set(expected)
         for name, values in expected.items():
             assert held[name].dtype == values.dtype
             assert np.array_equal(held[name].view(np.int64), values.view(np.int64)), name
@@ -469,7 +518,7 @@ class TestBlockedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+        kept = _kept_bytes(op)
         assert peak - kept < n * n * n_s * 8
         assert peak <= recon.operator_bytes(n * n, n_s, n_t, exact)
 

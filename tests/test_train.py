@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors
 from learnedbp.phantoms import Image, PhantomParams, generate_phantom
 from learnedbp.recon import BackprojectionOperator, WeightTensor
-from learnedbp import fileio, training
+from learnedbp import fileio, recon, training
 from learnedbp.training import (
     PROBE_SAMPLES,
     PROBE_STEPS,
@@ -308,6 +309,12 @@ def _bits(values):
     return values.view(f"i{values.dtype.itemsize}")
 
 
+def _built(monkeypatch, block, sc, exact=False):
+    """An operator built in blocks of ``block`` pixels, which training runs on."""
+    monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+    return BackprojectionOperator.from_scenario(sc, exact=exact)
+
+
 def _detector_sum(terms):
     """Sum over the last, detector axis one detector after another from
     0.0, in the terms' dtype, the order numpy takes along the rows of a
@@ -440,8 +447,7 @@ class TestStoredContributions:
         # 256 pixels: 128 blocks of two (a block holds at least two pixels),
         # 37 blocks (the last of 4 pixels), one block
         sc, _, train, heldout = simulated_problem
-        op = BackprojectionOperator.from_scenario(sc, exact=exact)
-        monkeypatch.setattr(training, "TRAIN_BLOCK", block)
+        op = _built(monkeypatch, block, sc, exact=exact)
         cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=5)
         _assert_matches_reference(train, heldout, cfg, op, one_block=block > sc.grid.n**2)
 
@@ -455,7 +461,7 @@ class TestStoredContributions:
         sc, op, train, heldout = wide_problem
         b = op.contrib(train[0][0]).values
         assert not np.array_equal(_bits(_detector_sum(b)), _bits(b.sum(axis=-1)))  # the orders differ here
-        monkeypatch.setattr(training, "TRAIN_BLOCK", block)
+        op = _built(monkeypatch, block, sc)
         cfg = TrainConfig(epochs=3, **overrides)
         _assert_matches_reference(train, heldout, cfg, op, one_block=block > sc.grid.n**2 or "weight_grid" in overrides)
 
@@ -463,7 +469,8 @@ class TestStoredContributions:
     @pytest.mark.parametrize("rate", [None, 1e-3], ids=["prescan", "given-rate"])
     def test_tables_are_built_once_per_sample(self, simulated_problem, monkeypatch, epochs, rate):
         # the pre-scan gathers its probes' whole-image b from the same tables
-        sc, op, train, heldout = simulated_problem
+        sc, _, train, heldout = simulated_problem
+        op = _built(monkeypatch, 100, sc)
         calls = []
         tabulate = op.tabulate
 
@@ -472,20 +479,19 @@ class TestStoredContributions:
             return tabulate(data)
 
         monkeypatch.setattr(op, "tabulate", counting)
-        monkeypatch.setattr(training, "TRAIN_BLOCK", 100)
         sgd_train(train, heldout, TrainConfig(epochs=epochs, learning_rate=rate), op)
         assert len(calls) == len(train) + len(heldout)
 
     def test_divergence_in_the_last_block_stops_like_one_block(self, simulated_problem, monkeypatch):
         # zero weights have zero gradient, so only the last block's rows
         # move; at this rate they overflow in epoch 4
-        sc, op, train, heldout = simulated_problem
+        sc, _, train, heldout = simulated_problem
         init = np.zeros((sc.grid.n, sc.grid.n, sc.detectors.n_s))
         init[12:] = 1.0
         cfg = TrainConfig(epochs=6, learning_rate=3.0, init="resume.patb", checkpoint_every=1)
         runs = []
         for block in (64, sc.grid.n**2):
-            monkeypatch.setattr(training, "TRAIN_BLOCK", block)
+            op = _built(monkeypatch, block, sc)
             checkpoints, rows = [], []
             with pytest.raises(DivergenceError) as info:
                 sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: checkpoints.append((e, _bits(w.values))),
@@ -505,19 +511,19 @@ class TestStoredContributions:
         # only the first block's rows are nonzero, so only they move; they
         # overflow in epoch 2, and the three blocks after it gather nothing
         # in that segment, with the message, checkpoints and rows of one block
-        sc, op, train, heldout = simulated_problem
+        sc, _, train, heldout = simulated_problem
         init = np.zeros((sc.grid.n, sc.grid.n, sc.detectors.n_s))
         init[:4] = 1.0
         cfg = TrainConfig(epochs=6, learning_rate=5.0, init="resume.patb", checkpoint_every=1)
-        gather = op.gather
         runs = []
         for block in (64, sc.grid.n**2):
-            monkeypatch.setattr(training, "TRAIN_BLOCK", block)
+            op = _built(monkeypatch, block, sc)
+            gather = op.gather
             starts, checkpoints, rows = [], [], []
 
-            def counting(table, span):
-                starts.append(span.start)
-                return gather(table, span)
+            def counting(table, k, op=op, gather=gather):
+                starts.append(op.blocks[k].start)
+                return gather(table, k)
 
             monkeypatch.setattr(op, "gather", counting)
             with pytest.raises(DivergenceError) as info:
@@ -542,27 +548,28 @@ class TestStoredContributions:
                                                                            rate):
         # 256 pixels in 3 blocks; with a cadence of 2, epochs 1-2, 3-4 and
         # 5 are segments, each gathering every sample's b once per block
-        sc, op, train, heldout = simulated_problem
+        sc, _, train, heldout = simulated_problem
+        op = _built(monkeypatch, 100, sc)
         events = []
         gather = op.gather
 
-        def counting(table, span):
-            if span != slice(None):  # the pre-scan's whole-image probes
-                events.append("g")
-            return gather(table, span)
+        def counting(table, k):
+            events.append("g")
+            return gather(table, k)
 
         monkeypatch.setattr(op, "gather", counting)
-        monkeypatch.setattr(training, "TRAIN_BLOCK", 100)
         cfg = TrainConfig(epochs=5, learning_rate=rate, checkpoint_every=2)
         sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: events.append(f"c{e}"),
                   log=lambda e, *rest: events.append(f"l{e}"))
+        # the pre-scan gathers its probes' whole-image b before the first checkpoint
+        probes = ["g"] * (3 * min(PROBE_SAMPLES, len(train))) if rate is None else []
         segment = ["g"] * (3 * (len(train) + len(heldout)))
-        assert events == (["c0"] + segment + ["l1", "c2", "l2"] + segment + ["l3", "c4", "l4"]
+        assert events == (probes + ["c0"] + segment + ["l1", "c2", "l2"] + segment + ["l3", "c4", "l4"]
                           + segment + ["c5", "l5"])
 
     def test_each_epoch_is_shuffled_once_for_all_blocks(self, simulated_problem, monkeypatch):
         # 256 pixels in 3 blocks, segments of epochs 1-2, 3-4 and 5
-        sc, op, train, heldout = simulated_problem
+        sc, _, train, heldout = simulated_problem
         epochs = []
 
         def counting(seed, epoch, n_samples):
@@ -570,7 +577,7 @@ class TestStoredContributions:
             return epoch_order(seed, epoch, n_samples)
 
         monkeypatch.setattr(training, "epoch_order", counting)
-        monkeypatch.setattr(training, "TRAIN_BLOCK", 100)
+        op = _built(monkeypatch, 100, sc)
         sgd_train(train, heldout, TrainConfig(epochs=5, learning_rate=1e-3, checkpoint_every=2), op)
         assert epochs == [1, 2, 3, 4, 5]
 
@@ -580,9 +587,8 @@ class TestStoredContributions:
         # their tables (1/6 of that), one block of b and the weights, and
         # no more with a checkpoint each of 8 epochs (131 kB of weights each)
         sc = _scenario(n=32, n_s=16, n_t=40)
-        op = BackprojectionOperator.from_scenario(sc)
+        op = _built(monkeypatch, 128, sc)
         pairs = [_random_pair(sc, seed) for seed in range(16)]
-        monkeypatch.setattr(training, "TRAIN_BLOCK", 128)
         all_b = len(pairs) * sc.grid.n**2 * sc.detectors.n_s * 8
         cfg = TrainConfig(epochs=8, learning_rate=1e-3, checkpoint_every=cadence)
         tracemalloc.start()
@@ -690,6 +696,37 @@ class TestMemoryCheck:
         finally:
             tracemalloc.stop()
         assert peak <= need < 2 * peak
+
+    @pytest.mark.parametrize("overrides", [{}, {"weight_grid": 16}], ids=["full-resolution", "weight-grid"])
+    def test_a_checkpoint_holds_one_weight_tensor(self, desk_problem, monkeypatch, overrides):
+        # each checkpoint frees the tensor before it, then writes the next
+        # one in a single C-contiguous float64 array; beyond that array the
+        # expand holds the finiteness mask (1/8 of it) and, with a weight
+        # grid, the float32 upsampled weights (1/2)
+        op, train, heldout = desk_problem
+        tensor_bytes = op.grid.n**2 * op.detectors.n_s * 8
+        expand, alive, peaks = _WeightParam.expand, [], []
+
+        def traced(param, values):
+            assert all(ref() is None for ref in alive)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            tensor = expand(param, values)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            assert tensor.values.flags["C_CONTIGUOUS"]
+            alive.append(weakref.ref(tensor))
+            return tensor
+
+        monkeypatch.setattr(_WeightParam, "expand", traced)
+        cfg = TrainConfig(epochs=3, learning_rate=1e-3, checkpoint_every=1, **overrides)
+        tracemalloc.start()
+        try:
+            sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: None)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4
+        bound = 1.2 if "weight_grid" not in overrides else 1.55
+        assert max(peaks) < bound * tensor_bytes
 
     def test_larger_than_available_memory_fails_before_tabulating(self, simulated_problem, monkeypatch):
         sc, op, train, heldout = simulated_problem
