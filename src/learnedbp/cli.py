@@ -147,7 +147,7 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         learning_rate=args.lr,
         init=args.init,
-        shuffle_seed=args.seed if args.seed is not None else 0,
+        shuffle_seed=args.seed if args.seed is not None else training.TrainConfig.shuffle_seed,
         checkpoint_every=args.checkpoint_every,
         weight_grid=args.weight_grid,
     )
@@ -266,15 +266,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="learn backprojection weights by SGD")
-    common(p, scenario_required=False, seed_help="shuffle seed (default 0; a config's seed sets phantom seeds only)")
+    defaults = training.TrainConfig
+    common(p, scenario_required=False,
+           seed_help=f"shuffle seed (default {defaults.shuffle_seed}; a config's seed sets phantom seeds only)")
     p.add_argument("--data", required=True, help="training dataset directory")
     p.add_argument("--heldout", default=None, help="held-out dataset directory")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=None, help="learning rate (default: pre-scan)")
-    p.add_argument("--init", default="ones", help="ones | constant:<v> | <weights.patb>")
-    p.add_argument("--checkpoint-every", type=int, default=0, help="checkpoint cadence in epochs")
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--weight-grid", type=int, default=None, help="train weights on a coarser m x m grid")
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate, help="learning rate (default: pre-scan)")
+    p.add_argument("--init", default=defaults.init, help="ones | constant:<v> | <weights.patb>")
+    p.add_argument("--checkpoint-every", type=int, default=defaults.checkpoint_every, help="checkpoint cadence in epochs")
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--weight-grid", type=int, default=defaults.weight_grid, help="train weights on a coarser m x m grid")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("reconstruct", help="backproject one sensor-data file")

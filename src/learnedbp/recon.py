@@ -18,8 +18,8 @@ Contributions are made in two steps: tabulate filters one sample's data
 and, in table mode, tabulates the integral t; gather reads a pixel
 block's b from that.  In table mode b(p, j) = geom (1 - frac) t[idx, j]
 + geom frac t[idx + 1, j] is a fixed linear map with two nonzeros per
-(pixel, detector), kept as one CSR matrix per block (rows p * n_s + j),
-so a gather is one sparse product; exact mode keeps geom and the
+(pixel, detector), kept as one CSR matrix per block (rows p * n_s + j;
+the blocks share one row pointer), so a gather is one sparse product; exact mode keeps geom and the
 distances and evaluates the quadrature at each.  The operator's blocks
 of PIXEL_BLOCK pixels serve contrib, apply, standard and training alike.
 apply and standard reduce each block as it is made, never holding the
@@ -29,9 +29,9 @@ weighted sum reduces the detector axis 0 of its arrays: apply passes
 transposed views of pixel-major blocks, training detector-major blocks.
 
 The build runs in the same blocks and peaks a few MB above what it
-keeps.  Traced with tracemalloc, table mode keeps 39.9 MiB at 256^2 with
-20 detectors (the quadrature table included) and peaks at 42.0 MiB, and
-keeps 179.9 MiB with 100 detectors, peaking at 186.1 MiB.  Before
+keeps.  Traced with tracemalloc, table mode keeps 35.0 MiB at 256^2 with
+20 detectors (the quadrature table included) and peaks at 37.2 MiB, and
+keeps 155.3 MiB with 100 detectors, peaking at 161.9 MiB.  Before
 allocating, the build compares its footprint (operator_bytes) with the
 memory available to the process and raises ConfigError when it does
 not fit.
@@ -182,11 +182,12 @@ def pixel_blocks(n_px: int) -> list:
 def operator_bytes(n_px: int, n_s: int, n_t: int, exact: bool) -> int:
     """Footprint of a BackprojectionOperator build: what it keeps per
     (pixel, detector), geom and dist (16 B) or a gather matrix row (two
-    float64 values, two int32 indices and an int32 row pointer, 28 B), the
-    quadrature table in table mode, the pixel centers, and one pixel block
-    of temporaries."""
-    kept = n_px * n_s * (16 if exact else 28)
-    table = 0 if exact else (TABLE_NODES_PER_DT * n_t + 1) * n_t * 8
+    float64 values and two int32 indices, 24 B), in table mode the blocks'
+    one shared row pointer and the quadrature table, the pixel centers, and
+    one pixel block of temporaries."""
+    largest = max(span.stop - span.start for span in pixel_blocks(n_px))
+    kept = n_px * n_s * (16 if exact else 24)
+    table = 0 if exact else (TABLE_NODES_PER_DT * n_t + 1) * n_t * 8 + (largest * n_s + 1) * 4
     return kept + table + n_px * 16 + BUILD_TEMPORARIES * min(PIXEL_BLOCK, n_px) * n_s * 8
 
 
@@ -237,8 +238,11 @@ class BackprojectionOperator:
         step = sound_speed * time.t_final / n_d
         # the table first, so that its build's temporaries come before the kept matrices
         self._table_matrix = integral_weights(np.arange(n_d + 1) * step, time, sound_speed)
+        # every row holds two nonzeros: one read-only row pointer of the largest block, a prefix of it per block
+        indptr = np.arange(0, 2 * max(span.stop - span.start for span in self.blocks) * n_s + 1, 2, dtype=np.int32)
+        indptr.flags.writeable = False
         self._gather_matrices = [
-            self._gather_matrix(*self._block_geometry(pixels[span], tau_max), step, n_d) for span in self.blocks
+            self._gather_matrix(*self._block_geometry(pixels[span], tau_max), step, n_d, indptr) for span in self.blocks
         ]
 
     def _block_geometry(self, pixels: np.ndarray, tau_max: float):
@@ -257,7 +261,7 @@ class BackprojectionOperator:
         geom[dist >= tau_max] = 0.0
         return geom, dist
 
-    def _gather_matrix(self, geom: np.ndarray, dist: np.ndarray, step: float, n_d: int):
+    def _gather_matrix(self, geom: np.ndarray, dist: np.ndarray, step: float, n_d: int, indptr: np.ndarray):
         """The block's b as a sparse map of the raveled (n_d + 1, n_s) table:
         row p * n_s + j interpolates column j at dist[p, j], times geom[p, j]."""
         n_s = self.detectors.n_s
@@ -270,8 +274,8 @@ class BackprojectionOperator:
         columns = np.empty(dist.shape + (2,), dtype=np.int32)
         columns[..., 0] = idx * n_s + np.arange(n_s)
         columns[..., 1] = columns[..., 0] + n_s
-        indptr = np.arange(0, 2 * dist.size + 1, 2, dtype=np.int32)
-        return scipy.sparse.csr_array((values.ravel(), columns.ravel(), indptr), shape=(dist.size, (n_d + 1) * n_s))
+        return scipy.sparse.csr_array((values.ravel(), columns.ravel(), indptr[: dist.size + 1]),
+                                      shape=(dist.size, (n_d + 1) * n_s))
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, exact: bool = False) -> "BackprojectionOperator":

@@ -10,10 +10,11 @@ checkpoint epochs, and per segment and block b is gathered once.  The
 weights are bitwise those of whole-image epochs.  The coarse weight grid
 couples pixels, so its one block is the whole image, gathered once per
 run.  Training is plain SGD, batch size one by default, deterministic
-given the dataset and the config.  One SGD pass serves the training
-epochs and the pre-scan's probe epochs alike: a step writes its gradient
-into one buffer and updates the weights in place.  Divergence is checked
-once per epoch and block; the weight tensors handed out own their arrays.
+given the dataset and the config.  One block loop around one SGD pass
+runs the training epochs and the pre-scan's probe epochs alike, so no
+probe's b is gathered as a whole image; a step writes its gradient into
+one buffer and updates the weights in place.  Divergence is checked once
+per epoch and block; the weight tensors handed out own their arrays.
 
 Training arrays are detector-major: the parameters, each block's b and
 weights, and the gradient buffer are C-contiguous (n_s, pixels) rows, so
@@ -164,11 +165,6 @@ def _step(w: np.ndarray, b: np.ndarray, truth: np.ndarray, gradient: bool = True
     return error, full
 
 
-def _sum_error(w: np.ndarray, contribs: list, truths: list, out: np.ndarray) -> float:
-    """Sum over samples of the squared error at the raw weights ``w``."""
-    return sum(_step(w, b, truth, gradient=False, out=out)[0] for b, truth in zip(contribs, truths))
-
-
 class _WeightParam:
     """Trainable parameterization of the weight tensor.
 
@@ -272,81 +268,98 @@ def _sgd_pass(param: _WeightParam, values: np.ndarray, contribs: list, truths: l
     place; returns the sum of the per-sample losses seen before each step.
     Non-finite weights are left for the caller: they stay non-finite."""
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(order), batch_size):
-            batch = order[lo : lo + batch_size]
-            w = param.expand_values(values)
-            for i, k in enumerate(batch):
-                error, full = _step(w, contribs[k], truths[k], out=grad_buf)
-                total += error
-                g = param.pull_back(full)
-                if i > 0:
-                    update += g
-                else:
-                    # the next gradient of the batch overwrites grad_buf
-                    update = g.copy() if g is grad_buf and len(batch) > 1 else g
-            update *= lr / len(batch)
-            values -= update
+    for lo in range(0, len(order), batch_size):
+        batch = order[lo : lo + batch_size]
+        w = param.expand_values(values)
+        for i, k in enumerate(batch):
+            error, full = _step(w, contribs[k], truths[k], out=grad_buf)
+            total += error
+            g = param.pull_back(full)
+            if i > 0:
+                update += g
+            else:
+                # the next gradient of the batch overwrites grad_buf
+                update = g.copy() if g is grad_buf and len(batch) > 1 else g
+        update *= lr / len(batch)
+        values -= update
     return total
 
 
-def prescan_learning_rate(param: _WeightParam, values: np.ndarray, contribs: list, truths: list) -> float:
+def _block_epochs(param: _WeightParam, values: np.ndarray, spans: list, gather, truths: list,
+                  orders: list, batch_size: int, lr: float, scored: slice):
+    """Train ``values`` in place on each block of ``spans`` in turn, with
+    every sample's b of block k from ``gather(k)``: per order of ``orders``
+    one :func:`_sgd_pass`, then the samples ``scored`` are scored.  Returns
+    the per-epoch sums over blocks of the pass losses, the scores and the
+    wall seconds, and how many epochs every block finished: no block runs
+    the first epoch in which any block's weights or loss are non-finite."""
+    done = len(orders)
+    train_sums, scores, walls = ([0.0] * done for _ in range(3))
+    for k, span in enumerate(spans):
+        if done == 0:
+            break  # a block diverged in the first epoch: no later block gathers its b
+        contribs = None  # the last block's b is freed before the next is gathered
+        contribs = gather(k)
+        # a full-resolution block trains a contiguous copy of its weight columns
+        params = values if param.coarse is not None else values[:, span].copy()
+        block_truths = [truth[span] for truth in truths]
+        grad_buf = np.empty_like(contribs[0])
+        for i, order in enumerate(orders[:done]):
+            clock = _time.monotonic()
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = _sgd_pass(param, params, contribs, block_truths, order, batch_size, lr, grad_buf)
+                if not (np.isfinite(total) and np.all(np.isfinite(params))):
+                    done = i  # later blocks stop before this epoch
+                    break
+                w = param.expand_values(params)
+                scores[i] += sum(_step(w, b, truth, gradient=False, out=grad_buf)[0]
+                                 for b, truth in zip(contribs[scored], block_truths[scored]))
+            train_sums[i] += total
+            walls[i] += _time.monotonic() - clock
+        if params is not values:
+            values[:, span] = params
+    return train_sums, scores, walls, done
+
+
+def prescan_learning_rate(param: _WeightParam, values: np.ndarray, spans: list, gather, truths: list) -> float:
     """Pick the default learning rate: one decade below the largest power of
     ten for which a few probe epochs on a few samples keep the loss finite
     and decreasing.
 
-    The probes are given by their whole-image, detector-major b
-    ``contribs`` and flat ``truths`` (sgd_train passes its first
-    PROBE_SAMPLES), each probe epoch one :func:`_sgd_pass` over them in
-    order with batch size one.
+    The probes come as :func:`_block_epochs` takes its samples (sgd_train
+    passes its first PROBE_SAMPLES).  At each rate, from a copy of
+    ``values``, an epoch without steps scores their base loss, then
+    PROBE_STEPS epochs run over them in order with batch size one.
 
     The backoff matters: the probes run a few dozen updates, but an epoch
     over a real training set runs hundreds, and a rate at the edge of
     stability can survive the former yet blow up mid-epoch."""
-    probe = len(contribs)
-    grad_buf = np.empty_like(contribs[0])
-    base = _sum_error(param.expand_values(values), contribs, truths, grad_buf) / probe
-    if base == 0.0:
-        return 1e-6
-    with np.errstate(over="ignore", invalid="ignore"):
-        for exponent in range(2, -13, -1):
-            lr = 10.0**exponent
-            w, prev = values.copy(), base
-            for _ in range(PROBE_STEPS):
-                _sgd_pass(param, w, contribs, truths, range(probe), 1, lr, grad_buf)
-                finite = np.all(np.isfinite(w))
-                current = _sum_error(param.expand_values(w), contribs, truths, grad_buf) / probe if finite else np.inf
-                if not np.isfinite(current) or current >= prev:
-                    break
-                prev = current
-            else:
-                return lr / 10.0
+    orders = [range(0)] + [range(len(truths))] * PROBE_STEPS
+    for exponent in range(2, -13, -1):
+        lr = 10.0**exponent
+        _, losses, _, done = _block_epochs(param, values.copy(), spans, gather, truths, orders, 1, lr, slice(None))
+        if losses[0] == 0.0:
+            return 1e-6
+        # a non-finite loss is not below the one before it
+        if done == len(orders) and all(prev > current for prev, current in zip(losses, losses[1:])):
+            return lr / 10.0
     raise DivergenceError("learning-rate pre-scan found no stable step size; data may be degenerate")
-
-
-def _whole_image(op: BackprojectionOperator, cfg: TrainConfig) -> bool:
-    """Whether training runs on the whole image as one block, not on the
-    operator's blocks: with a weight grid, which couples pixels, or one block."""
-    return cfg.weight_grid is not None or len(op.blocks) == 1
 
 
 def training_bytes(op: BackprojectionOperator, cfg: TrainConfig, n_train: int, n_heldout: int) -> int:
     """Footprint of sgd_train's own arrays, summed over its phases: every
     sample's float64 table; in DTYPE, every sample's flat truth and b of
-    one block and one more being gathered, two block-sized buffers, the
-    parameters and a copy, and, when the pre-scan runs on several blocks,
-    its whole-image probes and gradient buffer; in float64, the weight
-    tensor and the b of the largest gather, one operator block's product
-    and, for a whole image, the image it is written into."""
+    one block and one more being gathered, two block-sized buffers, and
+    the parameters and a copy; in float64, the weight tensor and the b of
+    the largest gather, one operator block's product and, with a weight
+    grid, the whole image it is written into.  The pre-scan runs on fewer
+    samples in the same blocks, so it adds nothing."""
     n_px, n_s, n_samples = op.grid.n**2, op.detectors.n_s, n_train + n_heldout
     op_block = max(span.stop - span.start for span in op.blocks)
-    whole = _whole_image(op, cfg)
-    block = n_px if whole else op_block
+    block = op_block if cfg.weight_grid is None else n_px
     side = op.grid.n if cfg.weight_grid is None else cfg.weight_grid
-    prescan = cfg.learning_rate is None
-    probes = min(PROBE_SAMPLES, n_train) + 1 if prescan and not whole else 0
-    streamed = ((n_samples + 3) * block + probes * n_px + 2 * side * side) * n_s + n_samples * n_px
-    wide = (n_px + op_block + (n_px if prescan or whole else 0)) * n_s
+    streamed = ((n_samples + 3) * block + 2 * side * side) * n_s + n_samples * n_px
+    wide = (n_px + op_block + (0 if cfg.weight_grid is None else n_px)) * n_s
     return n_samples * op.table_bytes() + streamed * np.dtype(DTYPE).itemsize + wide * 8
 
 
@@ -364,9 +377,10 @@ def sgd_train(
     The epochs run in segments, each ending at a checkpoint epoch (every
     ``cfg.checkpoint_every`` and the last).  Per segment, each epoch's
     shuffle is drawn once, with a seed derived from (cfg.shuffle_seed,
-    epoch); per pixel block (see the module docstring) and epoch, one
-    :func:`_sgd_pass` runs and the held-out samples are scored; an epoch's
-    losses and wall time (SGD and scoring only) are sums over blocks.
+    epoch); one :func:`_block_epochs` call per segment runs the epochs on
+    each pixel block (see the module docstring) and scores the held-out
+    samples; an epoch's losses and wall time (SGD and scoring only) are
+    sums over blocks.
     ``checkpoint(epoch, WeightTensor)`` fires for the initial tensor once
     every sample is checked, then at the end of each segment; ``log(epoch,
     train_loss, heldout_loss, lr, wall_seconds_so_far)`` for each epoch of
@@ -382,8 +396,8 @@ def sgd_train(
     values = param.init_values(cfg.init, reader=weight_reader)
     state = TrainState(param.expand(values))  # validated before the pre-scan trains on it
     samples = list(train_pairs) + list(heldout_pairs)
-    whole = _whole_image(op, cfg)
-    spans = [slice(0, n * n)] if whole else op.blocks
+    # a weight grid couples pixels, so its one block is the whole image
+    spans = op.blocks if cfg.weight_grid is None else [slice(0, n * n)]
     # fail before tabulating rather than swap
     require(
         f"training on {len(samples)} samples at n={n}, n_s={op.detectors.n_s}",
@@ -393,21 +407,21 @@ def sgd_train(
     # every sample is checked here, before any callback may write
     tables = [op.tabulate(data) for data, _ in samples]
     truths = [truth.values.reshape(-1).astype(DTYPE) for _, truth in samples]
-    if whole:
+    once = len(spans) == 1
+    if once:
         # the one block's b is gathered once, each replacing its sample's table
         for i, table in enumerate(tables):
-            tables[i] = _detector_major(op.gather_image(table), DTYPE)
-        contribs, tables = tables, []
-    else:
-        contribs = [None] * len(samples)
+            b = op.gather(table, 0) if cfg.weight_grid is None else op.gather_image(table)
+            tables[i] = _detector_major(b, DTYPE)
+
+    def gather(k, stop=None):
+        """Block k's detector-major b of the first ``stop`` samples (all by default)."""
+        return tables[:stop] if once else [_detector_major(op.gather(table, k), DTYPE) for table in tables[:stop]]
+
     lr = cfg.learning_rate
     if lr is None:
-        # the probes' whole-image b: with one block, the b just gathered
         n_probes = min(PROBE_SAMPLES, n_train)
-        probes = (contribs[:n_probes] if whole
-                  else [_detector_major(op.gather_image(table), DTYPE) for table in tables[:n_probes]])
-        lr = prescan_learning_rate(param, values, probes, truths[:n_probes])
-        del probes  # several blocks gather their own b below
+        lr = prescan_learning_rate(param, values, spans, lambda k: gather(k, n_probes), truths[:n_probes])
     state.learning_rate = lr
     if checkpoint is not None:
         checkpoint(0, state.weights)
@@ -415,37 +429,16 @@ def sgd_train(
     every = cfg.checkpoint_every or cfg.epochs or 1  # without a cadence, one segment
     wall = 0.0
     for first in range(1, cfg.epochs + 1, every):
-        last = done = min(first + every - 1, cfg.epochs)
+        last = min(first + every - 1, cfg.epochs)
         orders = [epoch_order(cfg.shuffle_seed, epoch, n_train) for epoch in range(first, last + 1)]
-        train_sums, heldout_sums, walls = [[0.0] * len(orders) for _ in range(3)]
-        for k, span in enumerate(spans):
-            if done < first:
-                break  # a block diverged in the segment's first epoch: no later block runs an epoch
-            if not whole:  # several blocks gather their b again each segment, each replacing the last block's
-                for i, table in enumerate(tables):
-                    contribs[i] = _detector_major(op.gather(table, k), DTYPE)
-            # a full-resolution block trains a contiguous copy of its weight columns
-            params = values if cfg.weight_grid is not None else values[:, span].copy()
-            block_truths = [truth[span] for truth in truths]
-            grad_buf = np.empty_like(contribs[0])
-            for epoch in range(first, done + 1):
-                clock = _time.monotonic()
-                order = orders[epoch - first]
-                total = _sgd_pass(param, params, contribs, block_truths, order, cfg.batch_size, lr, grad_buf)
-                if not (np.isfinite(total) and np.all(np.isfinite(params))):
-                    done = epoch - 1  # later blocks stop before this epoch
-                    break
-                w = param.expand_values(params)
-                train_sums[epoch - first] += total
-                heldout_sums[epoch - first] += _sum_error(w, contribs[n_train:], block_truths[n_train:], grad_buf)
-                walls[epoch - first] += _time.monotonic() - clock
-            if params is not values:
-                values[:, span] = params
-        for epoch in range(first, done + 1):
-            wall += walls[epoch - first]
+        # several blocks gather their b again each segment
+        train_sums, heldout_sums, walls, done = _block_epochs(
+            param, values, spans, gather, truths, orders, cfg.batch_size, lr, slice(n_train, None))
+        for i, epoch in enumerate(range(first, first + done)):
+            wall += walls[i]
             state.epoch = epoch
-            state.train_losses.append(train_sums[epoch - first] / n_train)
-            state.heldout_losses.append(heldout_sums[epoch - first] / len(heldout_pairs) if heldout_pairs else float("nan"))
+            state.train_losses.append(train_sums[i] / n_train)
+            state.heldout_losses.append(heldout_sums[i] / len(heldout_pairs) if heldout_pairs else float("nan"))
             if epoch == last:
                 state.weights = None  # the previous tensor is freed before its successor is made
                 state.weights = param.expand(values)
@@ -453,6 +446,6 @@ def sgd_train(
                     checkpoint(epoch, state.weights)
             if log is not None:
                 log(epoch, state.train_losses[-1], state.heldout_losses[-1], lr, wall)
-        if done < last:
-            raise DivergenceError(f"training diverged at epoch {done + 1}; try a lower learning rate")
+        if done < len(orders):
+            raise DivergenceError(f"training diverged at epoch {first + done}; try a lower learning rate")
     return state

@@ -557,6 +557,18 @@ def test_gen_data_larger_than_memory_exits_2_without_creating_out(tmp_path, cfg_
     assert not out.exists()
 
 
+def test_train_flag_defaults_are_the_config_defaults(tmp_path, train_dir, scenario, monkeypatch):
+    configs = []
+
+    def capturing(train_pairs, heldout_pairs, cfg, op, **callbacks):
+        configs.append(cfg)
+        return training.TrainState(WeightTensor.ones(scenario.grid, scenario.detectors.n_s))
+
+    monkeypatch.setattr(training, "sgd_train", capturing)
+    assert main(["train", "--data", str(train_dir), "--out", str(tmp_path / "run")]) == 0
+    assert configs == [TrainConfig()]
+
+
 def test_train_shuffles_with_seed_flag_not_config_seed(tmp_path, train_dir, scenario):
     cfg = tmp_path / "seed5.cfg"
     fileio.save_scenario_cfg(cfg, scenario, seed=5)

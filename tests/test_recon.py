@@ -278,11 +278,16 @@ class TestBackprojection:
         sc = _scenario(n=16, n_s=4, n_t=40)
         table = BackprojectionOperator.from_scenario(sc)
         assert not {"geom", "dist", "_flat", "_frac"} & set(vars(table))
-        # per (pixel, detector) row of a gather matrix: two float64 values,
-        # two int32 columns and an int32 row pointer; one more pointer per
-        # block, plus the quadrature table
+        # per (pixel, detector) row of a gather matrix: two float64 values
+        # and two int32 columns; one read-only int32 row pointer of the
+        # largest block, which every block's matrix views, plus the
+        # quadrature table
         rows = sc.grid.n**2 * sc.detectors.n_s
-        assert _kept_bytes(table) == 28 * rows + 4 * len(table.blocks) + table._table_matrix.nbytes
+        indptr = table._gather_matrices[0].indptr
+        assert indptr.dtype == np.int32 and not indptr.flags.writeable
+        assert all(np.shares_memory(m.indptr, indptr) for m in table._gather_matrices)
+        largest = max(span.stop - span.start for span in table.blocks) * sc.detectors.n_s
+        assert _kept_bytes(table) == 24 * rows + 4 * (largest + 1) + table._table_matrix.nbytes
         exact = BackprojectionOperator.from_scenario(sc, exact=True)
         assert exact.dist.shape == (sc.grid.n**2, sc.detectors.n_s)
 
@@ -304,11 +309,17 @@ def _bits(values):
 
 
 def _kept_bytes(op):
-    """Bytes of the arrays an operator keeps, its gather matrices' included."""
-    held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+    """Bytes of the arrays an operator keeps, its gather matrices' included;
+    an array that several views share is counted once, in full."""
+    arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
     for matrix in getattr(op, "_gather_matrices", []):
-        held += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-    return held
+        arrays += [matrix.data, matrix.indices, matrix.indptr]
+    owners = {}
+    for array in arrays:
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        owners[id(array)] = array
+    return sum(array.nbytes for array in owners.values())
 
 
 def _built(monkeypatch, block, *args, **kwargs):
@@ -484,6 +495,9 @@ class TestBlockedBuild:
                 assert matrix.shape == (rows, (recon.TABLE_NODES_PER_DT * 40 + 1) * 5)
                 assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
                 assert np.array_equal(matrix.indptr, np.arange(0, 2 * rows + 1, 2))
+                # one read-only row pointer, a prefix of it for a shorter block
+                assert np.shares_memory(matrix.indptr, op._gather_matrices[0].indptr)
+                assert not matrix.indptr.flags.writeable
                 assert np.array_equal(matrix.indices, columns[span].ravel())
                 assert np.array_equal(_bits(matrix.data), _bits(values[span].ravel()))
             return

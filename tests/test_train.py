@@ -442,10 +442,11 @@ class TestStoredContributions:
 
     @pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
     @pytest.mark.parametrize("batch_size", [1, 3])
-    @pytest.mark.parametrize("block", [1, 7, 257])
+    @pytest.mark.parametrize("block", [1, 7, 100, 257])
     def test_matches_reference_for_any_block_size(self, simulated_problem, monkeypatch, block, batch_size, exact):
         # 256 pixels: 128 blocks of two (a block holds at least two pixels),
-        # 37 blocks (the last of 4 pixels), one block
+        # 37 blocks (the last of 4 pixels), 3 blocks (the last of 56), one
+        # block; the pre-scan picks the whole-image reference's rate
         sc, _, train, heldout = simulated_problem
         op = _built(monkeypatch, block, sc, exact=exact)
         cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=5)
@@ -468,7 +469,7 @@ class TestStoredContributions:
     @pytest.mark.parametrize("epochs", [0, 1, 4])
     @pytest.mark.parametrize("rate", [None, 1e-3], ids=["prescan", "given-rate"])
     def test_tables_are_built_once_per_sample(self, simulated_problem, monkeypatch, epochs, rate):
-        # the pre-scan gathers its probes' whole-image b from the same tables
+        # the pre-scan gathers its probes' b block by block from the same tables
         sc, _, train, heldout = simulated_problem
         op = _built(monkeypatch, 100, sc)
         calls = []
@@ -550,22 +551,35 @@ class TestStoredContributions:
         # 5 are segments, each gathering every sample's b once per block
         sc, _, train, heldout = simulated_problem
         op = _built(monkeypatch, 100, sc)
-        events = []
-        gather = op.gather
+        tables, events = [], []
+        tabulate, gather = op.tabulate, op.gather
+
+        def tabulating(data):
+            tables.append(tabulate(data))
+            return tables[-1]
 
         def counting(table, k):
-            events.append("g")
+            events.append((k, [t is table for t in tables].index(True)))
             return gather(table, k)
 
+        monkeypatch.setattr(op, "tabulate", tabulating)
         monkeypatch.setattr(op, "gather", counting)
         cfg = TrainConfig(epochs=5, learning_rate=rate, checkpoint_every=2)
         sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: events.append(f"c{e}"),
                   log=lambda e, *rest: events.append(f"l{e}"))
-        # the pre-scan gathers its probes' whole-image b before the first checkpoint
-        probes = ["g"] * (3 * min(PROBE_SAMPLES, len(train))) if rate is None else []
-        segment = ["g"] * (3 * (len(train) + len(heldout)))
-        assert events == (probes + ["c0"] + segment + ["l1", "c2", "l2"] + segment + ["l3", "c4", "l4"]
-                          + segment + ["c5", "l5"])
+        start = events.index("c0")
+        if rate is None:
+            # every probe gather comes before the first checkpoint, in passes
+            # over blocks 0, 1 and 2 in order, each reading only the probes' tables
+            probe_pass = [(k, i) for k in range(3) for i in range(min(PROBE_SAMPLES, len(train)))]
+            passes, rest = divmod(start, len(probe_pass))
+            assert passes >= 1 and rest == 0
+            assert events[:start] == probe_pass * passes
+        else:
+            assert start == 0
+        segment = [(k, i) for k in range(3) for i in range(len(train) + len(heldout))]
+        assert events[start:] == (["c0"] + segment + ["l1", "c2", "l2"] + segment + ["l3", "c4", "l4"]
+                                  + segment + ["c5", "l5"])
 
     def test_each_epoch_is_shuffled_once_for_all_blocks(self, simulated_problem, monkeypatch):
         # 256 pixels in 3 blocks, segments of epochs 1-2, 3-4 and 5
@@ -750,13 +764,18 @@ class TestMemoryCheck:
 
 
 class TestPrescan:
-    def test_returns_power_of_ten(self, simulated_problem):
-        sc, op, train, _ = simulated_problem
+    def test_returns_power_of_ten(self, simulated_problem, monkeypatch):
+        # the probes' b of each of 3 blocks, gathered from their tables
+        sc, _, train, _ = simulated_problem
+        op = _built(monkeypatch, 100, sc)
         param = _WeightParam(sc.grid, sc.detectors.n_s, None)
-        probes = train[:PROBE_SAMPLES]
-        contribs = [training._detector_major(op.contrib(data).values) for data, _ in probes]
-        truths = [truth.values.reshape(-1) for _, truth in probes]
-        lr = prescan_learning_rate(param, param.init_values("ones"), contribs, truths)
+        tables = [op.tabulate(data) for data, _ in train[:PROBE_SAMPLES]]
+        truths = [truth.values.reshape(-1).astype(training.DTYPE) for _, truth in train[:PROBE_SAMPLES]]
+
+        def gather(k):
+            return [training._detector_major(op.gather(table, k), training.DTYPE) for table in tables]
+
+        lr = prescan_learning_rate(param, param.init_values("ones"), op.blocks, gather, truths)
         assert lr > 0
         assert math.isclose(10 ** round(math.log10(lr)), lr, rel_tol=1e-12)
 
@@ -767,7 +786,46 @@ class TestPrescan:
         param = _WeightParam(sc.grid, sc.detectors.n_s, None)
         b = training._detector_major(op.contrib(data).values)
         truth = op.apply(w, data).values.reshape(-1)
-        assert prescan_learning_rate(param, param.init_values("ones"), [b], [truth]) == 1e-6
+        spans = [slice(0, sc.grid.n**2)]
+        assert prescan_learning_rate(param, param.init_values("ones"), spans, lambda k: [b], [truth]) == 1e-6
+
+    @pytest.mark.parametrize("block", [7, 100, None], ids=["block-7", "block-100", "default"])
+    def test_full_resolution_training_gathers_no_whole_image(self, simulated_problem, monkeypatch, block):
+        # the probes' b is gathered block by block, like the training samples'
+        sc, op, train, heldout = simulated_problem
+        if block is not None:
+            op = _built(monkeypatch, block, sc)
+
+        def whole_image(table):
+            raise AssertionError("gather_image called")
+
+        monkeypatch.setattr(op, "gather_image", whole_image)
+        state = sgd_train(train, heldout, TrainConfig(epochs=2), op)
+        assert state.epoch == 2 and state.learning_rate > 0
+
+    def test_peak_stays_below_one_whole_image_probe_set(self):
+        # 64^2 with 20 detectors in 4 blocks: the probes' b of one block at
+        # a time, never the float32 whole-image b of every probe
+        sc = _scenario(n=64, n_s=20, n_t=40)
+        op = BackprojectionOperator.from_scenario(sc)
+        pairs = [_random_pair(sc, seed) for seed in range(PROBE_SAMPLES)]
+        param = _WeightParam(sc.grid, sc.detectors.n_s, None)
+        tables = [op.tabulate(data) for data, _ in pairs]
+        truths = [truth.values.reshape(-1).astype(training.DTYPE) for _, truth in pairs]
+        probe_set = PROBE_SAMPLES * sc.grid.n**2 * sc.detectors.n_s * 4
+
+        def gather(k):
+            return [training._detector_major(op.gather(table, k), training.DTYPE) for table in tables]
+
+        values = param.init_values("ones")
+        tracemalloc.start()
+        try:
+            prescan_learning_rate(param, values, op.blocks, gather, truths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(op.blocks) == 4
+        assert peak < probe_set
 
 
 def _coo_upsample_matrix(coarse, fine):
