@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -125,10 +124,7 @@ def cmd_gen_data(args) -> int:
             Path(path).unlink(missing_ok=True)
         raise
     # a re-run with a smaller --count leaves no sample the manifest does not list
-    for path in out.glob("*.patb"):
-        match = re.fullmatch(r"(?:phantom|data)_(\d{5,})\.patb", path.name)
-        if match and int(match.group(1)) >= args.count:
-            path.unlink()
+    fileio.Dataset.remove_samples_from(out, args.count)
     print(f"wrote {args.count} sample pairs to {out}")
     return EXIT_OK
 
@@ -158,10 +154,13 @@ def cmd_train(args) -> int:
     def checkpoint(epoch, weights):
         if epoch == 0:
             # fired once the initial weights and the learning rate are known;
-            # a re-run into the same directory starts a fresh log and record
+            # a re-run into the same directory starts a fresh log, record and
+            # set of checkpoints
             out.mkdir(parents=True, exist_ok=True)
             log_path.unlink(missing_ok=True)
             run_path.unlink(missing_ok=True)
+            for path in out.glob("weights_epoch*.patb"):
+                path.unlink()
         fileio.write_patb(out / f"weights_epoch{epoch:04d}.patb", weights.values)
 
     def log(epoch, train_loss, heldout_loss, lr, wall):
@@ -201,12 +200,9 @@ def cmd_reconstruct(args) -> int:
     scenario, _ = _resolve_scenario(args)
     values = fileio.read_patb(args.data)
     data = SensorData(values, scenario.time, scenario.detectors)
-    if args.ones:
-        weights = WeightTensor.ones(scenario.grid, scenario.detectors.n_s)
-    else:
-        weights = _load_weights(args.weights, scenario)
+    weights = None if args.ones else _load_weights(args.weights, scenario)
     op = BackprojectionOperator.from_scenario(scenario, exact=args.exact)
-    image = op.apply(weights, data)
+    image = op.standard(data) if args.ones else op.apply(weights, data)
     base = Path(args.out)
     fileio.write_patb(base.with_suffix(".patb"), image.values)
     fileio.write_pgm(base.with_suffix(".pgm"), image.values)
@@ -297,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("export-weights", help="export one detector's weight slice as PGM")
-    common(p, scenario_required=False)
+    p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--weights", required=True, help="weight tensor (.patb)")
     p.add_argument("--detector", type=int, required=True, help="detector index")
     p.set_defaults(func=cmd_export_weights)

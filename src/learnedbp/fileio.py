@@ -4,8 +4,10 @@ Tensors travel in a small binary container ("PATB"): a 4-byte magic,
 version, rank and dimensions as unsigned 32-bit little-endian integers,
 then the row-major float32 payload.  Figure exports are 16-bit binary
 PGM with the min-max normalization written to a sidecar text file so
-pixel values stay convertible back to physical units.  Scenarios and
-datasets are plain-text key=value files next to the sample tensors.
+pixel values stay convertible back to physical units.  Scenarios,
+dataset manifests and sidecars are key=value text, all read by
+:func:`read_key_values`; a malformed scenario or manifest raises
+ConfigError and a malformed sidecar FormatError, naming file and line.
 
 All writes go through a temp-file-plus-rename so a crash never leaves a
 half-written file under the final name.
@@ -14,12 +16,13 @@ half-written file under the final name.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeMismatchError
+from .errors import ConfigError, FormatError, ShapeMismatchError, checked_array
 from .forward import SensorData
 from .geometry import HALF_CIRCLE_END, HALF_CIRCLE_START, Scenario, make_scenario
 from .phantoms import Image
@@ -86,11 +89,7 @@ def write_pgm(path, values: np.ndarray):
     the sidecar (same name + ".txt") records vmin and vmax so
     :func:`read_pgm` can undo the normalization up to quantization.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ShapeMismatchError(f"PGM export needs a 2-d array, got ndim={values.ndim}")
-    if not np.all(np.isfinite(values)):
-        raise ShapeMismatchError("PGM export needs finite values")
+    values = checked_array(values, (None, None), "PGM export")
     vmin = float(values.min())
     vmax = float(values.max())
     if vmax > vmin:
@@ -132,24 +131,58 @@ def read_pgm(path) -> np.ndarray:
     if maxval != PGM_MAXVAL:
         raise FormatError(f"{path}: expected 16-bit data, maxval is {maxval}")
     pixels = np.frombuffer(raw, dtype=">u2", count=rows * cols, offset=pos)
-    meta = dict(
-        line.split("=", 1)
-        for line in Path(str(path) + ".txt").read_text().splitlines()
-        if line.strip()
-    )
-    vmin = float(meta["vmin"])
-    vmax = float(meta["vmax"])
+    sidecar = str(path) + ".txt"
+    try:
+        meta = read_key_values(sidecar, {"vmin": float, "vmax": float})
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from exc
+    if meta.keys() != {"vmin", "vmax"}:
+        raise FormatError(f"{sidecar}: needs vmin and vmax, got {sorted(meta)}")
+    vmin, vmax = meta["vmin"], meta["vmax"]
     values = vmin + pixels.astype(np.float64).reshape(rows, cols) * ((vmax - vmin) / PGM_MAXVAL)
     return values
 
 
+def read_key_values(path, parsers: dict, bare: list | None = None) -> dict:
+    """The key=value lines of the text file ``path``, each value passed
+    through ``parsers[key]``, in file order.
+
+    Blank lines and lines starting with '#' are skipped; keys and values
+    are stripped.  A line without '=' is appended to ``bare`` when the
+    caller passes that list and is an error otherwise.  Every error (such
+    a line, a key not in ``parsers``, a repeated key, a parser's
+    ValueError) is a ConfigError naming ``path:line``.
+    """
+    entries = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, value = stripped.partition("=")
+        key = key.strip()
+        if not eq and bare is not None:
+            bare.append(stripped)
+        elif not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        elif key not in parsers:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        elif key in entries:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        else:
+            try:
+                entries[key] = parsers[key](value.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
+    return entries
+
+
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "on", "yes"):
         return True
     if lowered in ("0", "false", "off", "no"):
         return False
-    raise ConfigError(f"cannot parse boolean value {text!r}")
+    raise ValueError(f"cannot parse boolean value {text!r}")
 
 
 # scenario-file key -> (name it goes by, parser); make_scenario holds the defaults
@@ -167,6 +200,7 @@ _SCENARIO_KEYS = {
     "directivity": ("directivity_enabled", _parse_bool),
 }
 _CUSTOM_KEYS = ("arc_start", "arc_end")
+_SCENARIO_PARSERS = {"label": str, **{key: parse for key, (_, parse) in _SCENARIO_KEYS.items()}}
 
 
 def load_scenario_cfg(path):
@@ -176,33 +210,13 @@ def load_scenario_cfg(path):
     are rejected so typos do not silently fall back to defaults; keys
     left out take the defaults of :func:`make_scenario`.
     """
-    entries = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if key in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        entries[key] = value.strip()
-
+    entries = read_key_values(path, _SCENARIO_PARSERS)
     label = entries.pop("label", None)
     if label is None:
         raise ConfigError(f"{path}: missing required key 'label'")
-    allowed = set(_SCENARIO_KEYS)
-    if label != "custom":
-        allowed -= set(_CUSTOM_KEYS)
-    unknown = set(entries) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-
-    try:
-        args = {name: parse(entries[key]) for key, (name, parse) in _SCENARIO_KEYS.items() if key in entries}
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if label != "custom" and not entries.keys().isdisjoint(_CUSTOM_KEYS):
+        raise ConfigError(f"{path}: {' and '.join(_CUSTOM_KEYS)} need label=custom")
+    args = {name: entries[key] for key, (name, _) in _SCENARIO_KEYS.items() if key in entries}
     seed = args.pop("seed", None)
     args["arc"] = (args.pop("arc_start", HALF_CIRCLE_START), args.pop("arc_end", HALF_CIRCLE_END))
     return make_scenario(label, **args), seed
@@ -251,6 +265,8 @@ class Dataset:
     MANIFEST = "manifest.txt"
     SCENARIO = "scenario.cfg"
     PROVENANCE = {"seed": int, "noise": float, "n_angles": int, "n_r_per_dt": int, "version": str, "numpy": str}
+    _MANIFEST_KEYS = {"split": str, "count": int, "scenario": str, **PROVENANCE}
+    _SAMPLE_FILE = re.compile(r"(?:phantom|data)_(\d{5,})\.patb")
 
     def __init__(self, root, scenario: Scenario, split: str, stems: list, provenance: dict | None = None):
         self.root = Path(root)
@@ -273,32 +289,21 @@ class Dataset:
         return root / f"{stem}.patb", root / f"{stem.replace('phantom', 'data')}.patb"
 
     @classmethod
+    def remove_samples_from(cls, root, count: int):
+        """Delete the sample files under ``root`` numbered ``count`` or more."""
+        for path in Path(root).glob("*.patb"):
+            match = cls._SAMPLE_FILE.fullmatch(path.name)
+            if match and int(match.group(1)) >= count:
+                path.unlink()
+
+    @classmethod
     def open(cls, root) -> "Dataset":
         root = Path(root)
         scenario, _ = load_scenario_cfg(root / cls.SCENARIO)
-        split = None
-        count = None
         stems = []
-        provenance = {}
-        for lineno, line in enumerate((root / cls.MANIFEST).read_text().splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" in stripped:
-                key, value = stripped.split("=", 1)
-                if key == "split":
-                    split = value
-                elif key == "count":
-                    count = int(value)
-                elif key in cls.PROVENANCE:
-                    try:
-                        provenance[key] = cls.PROVENANCE[key](value)
-                    except ValueError as exc:
-                        raise ConfigError(f"{root / cls.MANIFEST}:{lineno}: {exc}") from exc
-                elif key != "scenario":
-                    raise ConfigError(f"{root / cls.MANIFEST}:{lineno}: unknown key {key!r}")
-            else:
-                stems.append(stripped)
+        entries = read_key_values(root / cls.MANIFEST, cls._MANIFEST_KEYS, bare=stems)
+        split, count = entries.get("split"), entries.get("count")
+        provenance = {key: value for key, value in entries.items() if key in cls.PROVENANCE}
         if split not in ("train", "test"):
             raise ConfigError(f"{root / cls.MANIFEST}: missing or bad split tag")
         if count != len(stems):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError, checked_array
 from .geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, directivity_factors
 from .memory import available_memory, require
 from .phantoms import Image
@@ -76,12 +76,7 @@ class SensorData:
     detectors: DetectorArray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        expected = (self.time.n_t, self.detectors.n_s)
-        if values.shape != expected:
-            raise ShapeMismatchError(f"sensor data shape {values.shape} does not match (n_t, n_s)={expected}")
-        if not np.all(np.isfinite(values)):
-            raise ShapeMismatchError("sensor data must be finite")
+        values = checked_array(self.values, (self.time.n_t, self.detectors.n_s), "sensor data")
         object.__setattr__(self, "values", values)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, checked_array
 from .geometry import ImageGrid
 
 # Modified Shepp-Logan ellipse table: amplitude, semi-axis a (x), semi-axis
@@ -49,13 +49,7 @@ class Image:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.shape != (self.grid.n, self.grid.n):
-            raise ShapeMismatchError(
-                f"image values shape {values.shape} does not match grid ({self.grid.n}, {self.grid.n})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ShapeMismatchError("image values must be finite")
+        values = checked_array(self.values, (self.grid.n, self.grid.n), "image values")
         object.__setattr__(self, "values", values)
 
     def norm(self) -> float:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError, checked_array
 from .forward import SensorData, time_derivative
 from .geometry import DetectorArray, ImageGrid, Scenario, TimeGrid
 from .memory import available_memory, require
@@ -70,14 +70,7 @@ class WeightTensor:
     grid: ImageGrid
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        n = self.grid.n
-        if values.ndim != 3 or values.shape[0] != n or values.shape[1] != n:
-            raise ShapeMismatchError(f"weight tensor shape {values.shape} does not match grid side {n}")
-        if values.shape[2] < 1:
-            raise ShapeMismatchError("weight tensor needs at least one detector slice")
-        if not np.all(np.isfinite(values)):
-            raise ShapeMismatchError("weights must be finite")
+        values = checked_array(self.values, (self.grid.n, self.grid.n, None), "weights")
         object.__setattr__(self, "values", values)
 
     @property
@@ -101,12 +94,7 @@ class ContribTensor:
     grid: ImageGrid
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        n = self.grid.n
-        if values.ndim != 3 or values.shape[0] != n or values.shape[1] != n:
-            raise ShapeMismatchError(f"contribution tensor shape {values.shape} does not match grid side {n}")
-        if not np.all(np.isfinite(values)):
-            raise ShapeMismatchError("contributions must be finite")
+        values = checked_array(self.values, (self.grid.n, self.grid.n, None), "contributions")
         object.__setattr__(self, "values", values)
 
     @property

@@ -80,8 +80,8 @@ class TrainConfig:
             raise ConfigError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.learning_rate is not None and self.learning_rate < 0:
-            raise ConfigError("learning_rate must be nonnegative")
+        if self.learning_rate is not None and not 0 <= self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and nonnegative")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be nonnegative")
         if self.weight_grid is not None and self.weight_grid < 2:

@@ -420,6 +420,19 @@ def test_train_rerun_into_same_directory_starts_a_fresh_log(tmp_path, train_dir)
     assert strip_wall_column(second) == strip_wall_column(first)
 
 
+def test_train_rerun_with_fewer_epochs_leaves_only_its_own_checkpoints(tmp_path, train_dir):
+    args = ["train", "--data", str(train_dir), "--lr", "1e-4", "--checkpoint-every", "1", "--out"]
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert main(args + [str(rerun), "--epochs", "4"]) == 0
+    assert main(args + [str(rerun), "--epochs", "2"]) == 0
+    assert main(args + [str(fresh), "--epochs", "2"]) == 0
+    names = sorted(path.name for path in fresh.iterdir())
+    assert sorted(path.name for path in rerun.iterdir()) == names
+    for name in names:
+        if name != "train.log":  # its last column is wall time
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_train_run_json_records_the_run(tmp_path, train_dir, test_dir):
     out = tmp_path / "run"
     args = ["train", "--data", str(train_dir), "--heldout", str(test_dir), "--out", str(out), "--epochs", "2"]
@@ -599,6 +612,32 @@ def test_train_non_finite_init_is_a_data_error_before_the_prescan(tmp_path, trai
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+def test_train_rejects_a_non_finite_or_negative_rate_before_writing(tmp_path, train_dir, rate, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(train_dir), "--out", str(out), "--epochs", "1", "--lr", rate]) == 2
+    assert "learning_rate must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["train", "evaluate"])
+@pytest.mark.parametrize(
+    "count_lines, lineno", [("count=two", 2), ("count=3\ncount=3", 3)], ids=["bad-count", "duplicate-key"]
+)
+def test_malformed_manifest_is_a_data_error_naming_the_line(tmp_path, train_dir, verb, count_lines, lineno, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in train_dir.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    manifest = data / fileio.Dataset.MANIFEST
+    text = manifest.read_text()
+    assert text.startswith("split=train\ncount=3\n")
+    manifest.write_text(text.replace("count=3", count_lines, 1))
+    argv = [verb, "--data", str(data), "--out", str(tmp_path / "out")] + (["--epochs", "0"] if verb == "train" else [])
+    assert main(argv) == 2
+    assert f"{manifest}:{lineno}: " in capsys.readouterr().err
+
+
 def test_train_scenario_mismatch(tmp_path, train_dir):
     other_cfg = tmp_path / "other.cfg"
     fileio.save_scenario_cfg(other_cfg, make_scenario("B_sparse", n=N, n_s=5, n_t=N_T))
@@ -640,6 +679,22 @@ def test_reconstruct_ones_matches_library(tmp_path, cfg_path, train_dir, scenari
     np.testing.assert_array_equal(
         fileio.read_patb(tmp_path / "recon.patb"), f32(expected.values)
     )
+
+
+def test_reconstruct_ones_builds_no_weight_tensor(tmp_path, cfg_path, train_dir, scenario, monkeypatch):
+    values = fileio.read_patb(train_dir / "data_00000.patb")
+    expected = BackprojectionOperator.from_scenario(scenario).standard(
+        SensorData(values, scenario.time, scenario.detectors))
+    fileio.write_patb(tmp_path / "expected.patb", expected.values)
+
+    def refuse(*args):
+        raise AssertionError("--ones built a weight tensor")
+
+    monkeypatch.setattr(WeightTensor, "ones", refuse)
+    rc = main(["reconstruct", "--scenario", str(cfg_path),
+               "--data", str(train_dir / "data_00000.patb"), "--ones", "--out", str(tmp_path / "recon")])
+    assert rc == 0
+    assert (tmp_path / "recon.patb").read_bytes() == (tmp_path / "expected.patb").read_bytes()
 
 
 def test_reconstruct_with_weights_file(tmp_path, cfg_path, train_dir, ones_weights):
@@ -768,6 +823,14 @@ def test_export_weights_index_out_of_range(tmp_path, ones_weights, capsys):
     rc = main(["export-weights", "--weights", str(ones_weights),
                "--detector", "-1", "--out", str(tmp_path / "s.pgm")])
     assert rc == 2
+
+
+def test_export_weights_takes_no_scenario(tmp_path, ones_weights, capsys):
+    rc = main(["export-weights", "--weights", str(ones_weights), "--detector", "0",
+               "--scenario", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "s.pgm")])
+    assert rc == 1
+    assert "--scenario" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_weights_rejects_2d_tensor(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from learnedbp.errors import ConfigError, FormatError, ShapeMismatchError
+from learnedbp.errors import ConfigError, FormatError, ShapeMismatchError, checked_array
 from learnedbp.fileio import (
     Dataset,
     PGM_MAXVAL,
@@ -203,6 +203,18 @@ class TestPgm:
         with pytest.raises(FormatError):
             read_pgm(path)
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        ["vmin=abc\nvmax=1.0\n", "vmin=0.0\n", "vmin=0.0\nvmin=0.5\nvmax=1.0\n", "vmin 0.0\nvmax=1.0\n", "vmid=0.5\n"],
+        ids=["bad-float", "missing-key", "duplicate-key", "not-key-value", "unknown-key"],
+    )
+    def test_malformed_sidecar_is_a_format_error(self, tmp_path, sidecar):
+        path = tmp_path / "s.pgm"
+        write_pgm(path, np.array([[0.0, 1.0], [2.0, 3.0]]))
+        (tmp_path / "s.pgm.txt").write_text(sidecar)
+        with pytest.raises(FormatError, match="s.pgm.txt"):
+            read_pgm(path)
+
     def test_reads_comment_lines(self, tmp_path):
         values = np.array([[1.0, 2.0], [3.0, 4.0]])
         path = tmp_path / "c.pgm"
@@ -229,6 +241,27 @@ class TestAtomicity:
         monkeypatch.undo()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.patb"]
         assert target.read_bytes() == before
+
+
+class TestCheckedArray:
+    def test_returns_c_contiguous_float64(self):
+        values = checked_array(np.arange(6, dtype=np.int32).reshape(3, 2).T, (2, None), "grid")
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert values.tolist() == [[0, 2, 4], [1, 3, 5]]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros((2, 3)), r"grid shape \(2, 3\) does not match \(3, \*\)"),
+            (np.zeros((3, 0)), r"grid shape \(3, 0\) does not match \(3, \*\)"),
+            (np.zeros(3), r"grid shape \(3,\) does not match"),
+            (np.array([[0.0], [np.inf], [0.0]]), "grid must be finite"),
+        ],
+        ids=["wrong-length", "empty-free-axis", "wrong-rank", "non-finite"],
+    )
+    def test_rejects(self, values, message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            checked_array(values, (3, None), "grid")
 
 
 class TestScenarioCfg:
@@ -321,6 +354,7 @@ class TestScenarioCfg:
             "label=B_sparse\ndirectivity=perhaps\n",
             "label=B_sparse\narc_start=0.0\n",
             "label=B_sparse\njust a line\n",
+            "label=B_sparse\n=32\n",
         ],
         ids=[
             "missing-label",
@@ -330,6 +364,7 @@ class TestScenarioCfg:
             "bad-bool",
             "arc-on-canonical",
             "not-key-value",
+            "empty-key",
         ],
     )
     def test_malformed_rejected(self, tmp_path, body):
@@ -438,6 +473,19 @@ class TestDataset:
     def test_manifest_without_provenance_opens(self, tmp_path):
         _make_dataset(tmp_path, count=1)
         assert Dataset.open(tmp_path).provenance == {}
+
+    def test_spaces_around_manifest_equals_signs_are_stripped(self, tmp_path):
+        _make_dataset(tmp_path, count=1, split="test")
+        manifest = tmp_path / Dataset.MANIFEST
+        manifest.write_text(manifest.read_text().replace("split=test", "split = test").replace("count=", " count= "))
+        assert Dataset.open(tmp_path).split == "test"
+
+    def test_remove_samples_from_keeps_the_lower_indices_and_other_files(self, tmp_path):
+        _make_dataset(tmp_path, count=3)
+        (tmp_path / "data_7.patb").write_bytes(b"")  # not a sample name: too few digits
+        Dataset.remove_samples_from(tmp_path, 1)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "data_00000.patb", "data_7.patb", Dataset.MANIFEST, "phantom_00000.patb", Dataset.SCENARIO]
 
     def test_bad_provenance_value_detected(self, tmp_path):
         _make_dataset(tmp_path, count=1)
