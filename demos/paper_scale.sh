@@ -5,21 +5,24 @@
 # its own Python process through learnedbp.cli.main and is followed by
 # its wall time and peak RSS. Expect tens of minutes and about 1 GB of
 # memory. Outputs land in the directory given as the first argument,
-# ./paper_scale_out by default.
+# ./paper_scale_out by default. An optional second argument names another
+# scenario label, run with that label's default detector count (20 for
+# B_sparse and C_limited_sparse):
+#   sh demos/paper_scale.sh paper_scale_b B_sparse
 set -e
 
 OUT=${1:-paper_scale_out}
+LABEL=${2:-}
 SRC=$(cd "$(dirname "$0")/../src" && pwd)
 PYTHON=${PYTHON:-python3}
 mkdir -p "$OUT"
 
-cat > "$OUT/scenario.cfg" <<'CFG'
-label=A_limited_view
-n_x=256
-n_s=100
-n_t=400
-seed=5
-CFG
+if [ -z "$LABEL" ]; then
+    printf 'label=A_limited_view\nn_s=100\n' > "$OUT/scenario.cfg"
+else
+    printf 'label=%s\n' "$LABEL" > "$OUT/scenario.cfg"
+fi
+printf 'n_x=256\nn_t=400\nseed=5\n' >> "$OUT/scenario.cfg"
 
 # stage NAME VERB ARGS...: run one verb and print its wall time and peak RSS
 stage() {

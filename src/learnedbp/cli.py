@@ -180,6 +180,9 @@ def cmd_train(args) -> int:
         run = {
             "config": dataclasses.asdict(cfg),
             "learning_rate": state.learning_rate,
+            # JSON has no inf or nan: a non-finite probe loss is written null
+            "prescan": [{"learning_rate": rate, "losses": [loss if np.isfinite(loss) else None for loss in losses]}
+                        for rate, losses in state.prescan],
             "epochs": state.epoch,
             "train_loss": state.train_losses[-1],
             "heldout_loss": state.heldout_losses[-1] if heldout_pairs else None,

@@ -114,7 +114,8 @@ def read_pgm(path) -> np.ndarray:
         if pos >= len(raw):
             raise FormatError(f"{path}: truncated PGM header")
         if raw[pos : pos + 1] == b"#":
-            pos = raw.index(b"\n", pos) + 1
+            newline = raw.find(b"\n", pos)
+            pos = len(raw) if newline < 0 else newline + 1  # an unended comment ends the header
             continue
         if raw[pos : pos + 1].isspace():
             pos += 1
@@ -127,9 +128,14 @@ def read_pgm(path) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P5":
         raise FormatError(f"{path}: not a binary PGM")
-    cols, rows, maxval = (int(f) for f in fields[1:])
+    try:
+        cols, rows, maxval = (int(f) for f in fields[1:])
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-integer PGM header field in {fields[1:]}") from exc
     if maxval != PGM_MAXVAL:
         raise FormatError(f"{path}: expected 16-bit data, maxval is {maxval}")
+    if min(cols, rows) < 0 or len(raw) - pos < 2 * rows * cols:
+        raise FormatError(f"{path}: payload holds fewer than {cols} x {rows} 16-bit pixels")
     pixels = np.frombuffer(raw, dtype=">u2", count=rows * cols, offset=pos)
     sidecar = str(path) + ".txt"
     try:

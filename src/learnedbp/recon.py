@@ -19,18 +19,19 @@ and, in table mode, tabulates the integral t; gather reads a pixel
 block's b from that.  In table mode b(p, j) = geom (1 - frac) t[idx, j]
 + geom frac t[idx + 1, j] is a fixed linear map with two nonzeros per
 (pixel, detector), kept as one CSR matrix per block (rows p * n_s + j;
-the blocks share one row pointer), so a gather is one sparse product; exact mode keeps geom and the
-distances and evaluates the quadrature at each.  The operator's blocks
-of PIXEL_BLOCK pixels serve contrib, apply, standard and training alike.
-apply and standard reduce each block as it is made, never holding the
+the blocks share one row pointer), so a gather is one sparse product;
+exact mode keeps geom and the distances and evaluates the quadrature at
+each.  The operator's blocks of BLOCK_VALUES (pixel, detector) values
+serve contrib, apply, standard and training alike.  apply and standard
+reduce each block as it is made, never holding the
 whole (n^2, n_s) b, and check each reduced block for finiteness;
 standard_and_apply makes both sums from one gather of each block.  The
 weighted sum reduces the detector axis 0 of its arrays: apply passes
 transposed views of pixel-major blocks, training detector-major blocks.
 
 The build runs in the same blocks and peaks a few MB above what it
-keeps.  Traced with tracemalloc, table mode keeps 35.0 MiB at 256^2 with
-20 detectors (the quadrature table included) and peaks at 37.2 MiB, and
+keeps.  Traced with tracemalloc, table mode keeps 35.3 MiB at 256^2 with
+20 detectors (the quadrature table included) and peaks at 40.7 MiB, and
 keeps 155.3 MiB with 100 detectors, peaking at 161.9 MiB.  Before
 allocating, the build compares its footprint (operator_bytes) with the
 memory available to the process and raises ConfigError when it does
@@ -51,11 +52,12 @@ from .memory import available_memory, require
 from .phantoms import Image
 
 TABLE_NODES_PER_DT = 4
-# pixels per block, for reconstruction and training alike: a block's b at
-# 20 detectors is 160 kB in float64, and every training sample's b of one
-# block, in float32, stays in cache while all epochs run on it
-PIXEL_BLOCK = 1024
-# (PIXEL_BLOCK, n_s) float64 arrays counted for the temporaries of an operator
+# (pixel, detector) values per block, for reconstruction and training
+# alike: 1024 pixels at 100 detectors, 5120 at 20.  Counting values, not
+# pixels, gives every numpy call of an SGD step the same work at any
+# detector count; a block's b is 800 kB in float64
+BLOCK_VALUES = 102_400
+# float64 arrays of one block counted for the temporaries of an operator
 # build: at 256^2 its traced peak exceeded the kept arrays, the table and the
 # pixel centers by 7.4, 6.7 and 6.1 of them (table mode at 20 and 100
 # detectors, exact mode at 20)
@@ -159,11 +161,11 @@ def integral_weights(d: np.ndarray, time: TimeGrid, sound_speed: float = 1.0) ->
     return weights
 
 
-def pixel_blocks(n_px: int) -> list:
-    """Slices of PIXEL_BLOCK pixels.  numpy sums a one-pixel block's
-    detectors pairwise, not row by row, so a lone last pixel joins the
-    block before."""
-    bounds = list(range(0, max(n_px - 1, 1), max(PIXEL_BLOCK, 2))) + [n_px]
+def pixel_blocks(n_px: int, n_s: int) -> list:
+    """Slices of BLOCK_VALUES // n_s pixels, at least two.  numpy sums a
+    one-pixel block's detectors pairwise, not row by row, so a lone last
+    pixel joins the block before."""
+    bounds = list(range(0, max(n_px - 1, 1), max(BLOCK_VALUES // n_s, 2))) + [n_px]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -173,10 +175,10 @@ def operator_bytes(n_px: int, n_s: int, n_t: int, exact: bool) -> int:
     float64 values and two int32 indices, 24 B), in table mode the blocks'
     one shared row pointer and the quadrature table, the pixel centers, and
     one pixel block of temporaries."""
-    largest = max(span.stop - span.start for span in pixel_blocks(n_px))
+    largest = max(span.stop - span.start for span in pixel_blocks(n_px, n_s))
     kept = n_px * n_s * (16 if exact else 24)
     table = 0 if exact else (TABLE_NODES_PER_DT * n_t + 1) * n_t * 8 + (largest * n_s + 1) * 4
-    return kept + table + n_px * 16 + BUILD_TEMPORARIES * min(PIXEL_BLOCK, n_px) * n_s * 8
+    return kept + table + n_px * 16 + BUILD_TEMPORARIES * largest * n_s * 8
 
 
 class BackprojectionOperator:
@@ -213,7 +215,7 @@ class BackprojectionOperator:
             operator_bytes(n_px, n_s, time.n_t, exact),
             available_memory(),
         )
-        self.blocks = pixel_blocks(n_px)
+        self.blocks = pixel_blocks(n_px, n_s)
         tau_max = sound_speed * time.samples()[-1]
         pixels = grid.pixel_centers().reshape(-1, 2)
         if exact:
@@ -303,6 +305,7 @@ class BackprojectionOperator:
             a_mat = integral_weights(self.dist[span, j], self.time, self.sound_speed)
             a_mat *= table[:, j]
             b[:, j] = a_mat.sum(axis=1)
+            del a_mat  # freed before the next detector's (block, n_t) matrix is made
         b *= self.geom[span]
         return b
 

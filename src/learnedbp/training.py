@@ -7,9 +7,11 @@ sum_j W^2 b with b independent of W, the gradient has the closed form
 pixel, so training tabulates each sample once per run and trains on the
 operator's pixel blocks: the epochs run in segments that end at the
 checkpoint epochs, and per segment and block b is gathered once.  The
-weights are bitwise those of whole-image epochs.  The coarse weight grid
-couples pixels, so its one block is the whole image, gathered once per
-run.  Training is plain SGD, batch size one by default, deterministic
+weights are bitwise those of whole-image epochs.  An image of one block
+(the blocks hold BLOCK_VALUES (pixel, detector) values, so 64^2 is one
+at 20 detectors) is gathered once per run, and so is the coarse weight
+grid's, whose one block is the whole image because the grid couples
+pixels.  Training is plain SGD, batch size one by default, deterministic
 given the dataset and the config.  One block loop around one SGD pass
 runs the training epochs and the pre-scan's probe epochs alike, so no
 probe's b is gathered as a whole image; a step writes its gradient into
@@ -97,6 +99,8 @@ class TrainState:
     train_losses: list = field(default_factory=list)
     heldout_losses: list = field(default_factory=list)
     learning_rate: float = 0.0
+    # the pre-scan's (rate, mean probe losses) pairs, none for a given rate
+    prescan: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.train_losses) != self.epoch:
@@ -321,10 +325,11 @@ def _block_epochs(param: _WeightParam, values: np.ndarray, spans: list, gather, 
     return train_sums, scores, walls, done
 
 
-def prescan_learning_rate(param: _WeightParam, values: np.ndarray, spans: list, gather, truths: list) -> float:
+def prescan_learning_rate(param: _WeightParam, values: np.ndarray, spans: list, gather, truths: list):
     """Pick the default learning rate: one decade below the largest power of
     ten for which a few probe epochs on a few samples keep the loss finite
-    and decreasing.
+    and decreasing.  Returns the rate and, per rate tried, the pair (rate,
+    mean probe loss of each epoch every block finished).
 
     The probes come as :func:`_block_epochs` takes its samples (sgd_train
     passes its first PROBE_SAMPLES).  At each rate, from a copy of
@@ -335,14 +340,16 @@ def prescan_learning_rate(param: _WeightParam, values: np.ndarray, spans: list, 
     over a real training set runs hundreds, and a rate at the edge of
     stability can survive the former yet blow up mid-epoch."""
     orders = [range(0)] + [range(len(truths))] * PROBE_STEPS
+    probes = []
     for exponent in range(2, -13, -1):
         lr = 10.0**exponent
         _, losses, _, done = _block_epochs(param, values.copy(), spans, gather, truths, orders, 1, lr, slice(None))
+        probes.append((lr, [total / len(truths) for total in losses[:done]]))
         if losses[0] == 0.0:
-            return 1e-6
+            return 1e-6, probes
         # a non-finite loss is not below the one before it
         if done == len(orders) and all(prev > current for prev, current in zip(losses, losses[1:])):
-            return lr / 10.0
+            return lr / 10.0, probes
     raise DivergenceError("learning-rate pre-scan found no stable step size; data may be degenerate")
 
 
@@ -421,7 +428,8 @@ def sgd_train(
     lr = cfg.learning_rate
     if lr is None:
         n_probes = min(PROBE_SAMPLES, n_train)
-        lr = prescan_learning_rate(param, values, spans, lambda k: gather(k, n_probes), truths[:n_probes])
+        probes = truths[:n_probes]
+        lr, state.prescan = prescan_learning_rate(param, values, spans, lambda k: gather(k, n_probes), probes)
     state.learning_rate = lr
     if checkpoint is not None:
         checkpoint(0, state.weights)

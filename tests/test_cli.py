@@ -451,12 +451,20 @@ def test_train_run_json_records_the_run(tmp_path, train_dir, test_dir):
         }
     assert (run["version"], run["numpy"]) == (learnedbp.__version__, np.__version__)
     assert (run["training_dtype"], run["scipy"]) == ("float32", scipy.__version__)
+    # the pre-scan's probe losses, per rate tried, as training reports them
+    train_set, heldout_set = fileio.Dataset.open(train_dir), fileio.Dataset.open(test_dir)
+    state = training.sgd_train(train_set.pairs(), heldout_set.pairs(), TrainConfig(epochs=0),
+                               BackprojectionOperator.from_scenario(train_set.scenario))
+    assert run["prescan"] == [{"learning_rate": rate, "losses": losses} for rate, losses in state.prescan]
+    assert run["prescan"][-1]["learning_rate"] == 10 * run["learning_rate"]
+    assert len(run["prescan"][-1]["losses"]) == training.PROBE_STEPS + 1
 
     assert main(["train", "--data", str(train_dir), "--out", str(out), "--epochs", "1", "--lr", "1e-4"]) == 0
     run = json.loads((out / "run.json").read_text())
     assert run["heldout_loss"] is None
     assert list(run["datasets"]) == ["train"]
     assert run["learning_rate"] == 1e-4
+    assert run["prescan"] == []
 
 
 def strip_wall_column(lines):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from learnedbp import fileio
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -62,3 +64,22 @@ def test_cli_walkthrough(tmp_path):
     for name in ("recon_plain.pgm", "recon_weighted.pgm", "weights_det0.pgm"):
         assert (out / name).read_bytes().startswith(b"P5")
         assert (out / (name + ".txt")).is_file()
+
+
+def test_paper_scale_writes_the_scenario_of_its_label(tmp_path):
+    # the scenario file is written before the first stage, which a failing
+    # interpreter stops: A_limited_view with 100 detectors by default, and
+    # a label given keeps its own default detector count
+    for args, expected in (
+        ((), "label=A_limited_view\nn_s=100\nn_x=256\nn_t=400\nseed=5\n"),
+        (("B_sparse",), "label=B_sparse\nn_x=256\nn_t=400\nseed=5\n"),
+    ):
+        out = tmp_path / f"out{len(args)}"
+        result = subprocess.run(
+            ["sh", str(ROOT / "demos" / "paper_scale.sh"), str(out), *args],
+            cwd=tmp_path, env=dict(os.environ, PYTHON="false"), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode != 0
+        assert (out / "scenario.cfg").read_text() == expected
+        scenario, seed = fileio.load_scenario_cfg(out / "scenario.cfg")
+        assert (scenario.grid.n, scenario.detectors.n_s, seed) == (256, 100 if not args else 20, 5)

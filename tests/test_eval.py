@@ -128,9 +128,10 @@ class TestEvaluate:
         assert report.errors[METHOD_WEIGHTED] == report.errors[METHOD_UBP]
 
     def test_errors_match_the_whole_contribution_tensor(self):
-        # 96^2 pixels make three pixel blocks, the last one partial
+        # 96^2 pixels at 20 detectors make two pixel blocks, the last one partial
         sc = _scenario(n=96, n_s=20, n_t=60)
         op = BackprojectionOperator.from_scenario(sc)
+        assert [span.stop for span in op.blocks] == [5120, 96 * 96]
         pairs = _pairs(sc, 3)
         w = WeightTensor(np.random.default_rng(8).uniform(0.5, 1.5, (96, 96, 20)), sc.grid)
         for squared in (False, True):

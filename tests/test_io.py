@@ -204,6 +204,23 @@ class TestPgm:
             read_pgm(path)
 
     @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"P5\nab 2\n65535\n", "non-integer PGM header field"),
+            (b"P5\n2 2\n# no newline ends this comment", "truncated PGM header"),
+            (b"P5\n2 2\n65535\n" + bytes(6), "fewer than 2 x 2 16-bit pixels"),
+        ],
+        ids=["non-integer-field", "unended-comment", "short-payload"],
+    )
+    def test_malformed_pgm_is_a_format_error(self, tmp_path, raw, message):
+        # each once escaped as a bare ValueError from int, bytes.index or np.frombuffer
+        path = tmp_path / "f.pgm"
+        path.write_bytes(raw)
+        (tmp_path / "f.pgm.txt").write_text("vmin=0.0\nvmax=1.0\n")
+        with pytest.raises(FormatError, match=message):
+            read_pgm(path)
+
+    @pytest.mark.parametrize(
         "sidecar",
         ["vmin=abc\nvmax=1.0\n", "vmin=0.0\n", "vmin=0.0\nvmin=0.5\nvmax=1.0\n", "vmin 0.0\nvmax=1.0\n", "vmid=0.5\n"],
         ids=["bad-float", "missing-key", "duplicate-key", "not-key-value", "unknown-key"],

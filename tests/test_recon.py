@@ -1,11 +1,12 @@
 import io
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from learnedbp import memory, recon
+from learnedbp import memory, recon, training
 from learnedbp.errors import ConfigError, ShapeMismatchError
 from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import DetectorArray, ImageGrid, Scenario, TimeGrid, make_detectors, make_scenario
@@ -322,19 +323,20 @@ def _kept_bytes(op):
     return sum(array.nbytes for array in owners.values())
 
 
-def _built(monkeypatch, block, *args, **kwargs):
+def _built(monkeypatch, block, sc, **kwargs):
     """An operator built in blocks of ``block`` pixels."""
-    monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
-    return BackprojectionOperator.from_scenario(*args, **kwargs)
+    monkeypatch.setattr(recon, "BLOCK_VALUES", block * sc.detectors.n_s)
+    return BackprojectionOperator.from_scenario(sc, **kwargs)
 
 
 class TestPixelBlocks:
     @pytest.mark.parametrize("exact", [False, True])
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch, exact):
-        # n^2 = 4489 exceeds the default block and is not a multiple of 7
+        # n^2 = 4489 exceeds a block of 1024 pixels and is not a multiple of 7
         n, n_s = 67, 3
         sc = _scenario(n=n, n_s=n_s, n_t=40)
-        op = BackprojectionOperator.from_scenario(sc, exact=exact)
+        op = _built(monkeypatch, 1024, sc, exact=exact)
+        assert len(op.blocks) == 5
         data = _smooth_data(sc, seed=13)
         weights = WeightTensor(np.random.default_rng(14).uniform(0.5, 1.5, (n, n, n_s)), sc.grid)
         b = op.contrib(data)
@@ -348,14 +350,45 @@ class TestPixelBlocks:
     def test_blocks_partition_the_pixels(self, monkeypatch):
         # a lone last pixel joins the block before: numpy sums one pixel's
         # detectors pairwise, not row by row
-        assert recon.pixel_blocks(1) == [slice(0, 1)]
-        assert recon.pixel_blocks(5000)[-1] == slice(4096, 5000)
+        for n_s in (1, 3, 20, 100):
+            assert recon.pixel_blocks(1, n_s) == [slice(0, 1)]
         for block, n_px, sizes in ((1, 5, [2, 3]), (7, 15, [7, 8]), (7, 16, [7, 7, 2]), (4, 4, [4])):
-            monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
-            blocks = recon.pixel_blocks(n_px)
-            assert [span.stop - span.start for span in blocks] == sizes
-            assert blocks[0].start == 0 and blocks[-1].stop == n_px
-            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            for n_s in (1, 3, 20, 100):
+                monkeypatch.setattr(recon, "BLOCK_VALUES", block * n_s)
+                blocks = recon.pixel_blocks(n_px, n_s)
+                assert [span.stop - span.start for span in blocks] == sizes
+                assert blocks[0].start == 0 and blocks[-1].stop == n_px
+                assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+    def test_one_hundred_detectors_keep_blocks_of_1024_pixels(self):
+        # the partition at 100 detectors is the one of fixed 1024-pixel blocks
+        for n_px in (256 * 256, 5000):
+            bounds = list(range(0, n_px - 1, 1024)) + [n_px]
+            assert recon.pixel_blocks(n_px, 100) == [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert recon.pixel_blocks(5000, 100)[-1] == slice(4096, 5000)
+        assert len(recon.pixel_blocks(256 * 256, 100)) == 64
+
+    def test_blocks_hold_a_budget_of_values(self):
+        # 5120 pixels at 20 detectors, so a 64^2 image is one block; 102,400
+        # values make blocks of 34,133 pixels at 3 detectors
+        assert recon.pixel_blocks(64 * 64, 20) == [slice(0, 64 * 64)]
+        assert [span.stop for span in recon.pixel_blocks(128 * 128, 20)] == [5120, 10240, 15360, 16384]
+        assert recon.pixel_blocks(5121, 20) == [slice(0, 5121)]
+        assert recon.pixel_blocks(5122, 20) == [slice(0, 5120), slice(5120, 5122)]
+        assert recon.pixel_blocks(34134, 3) == [slice(0, 34134)]
+        # more detectors than the budget: two pixels per block, at least
+        assert [span.stop - span.start for span in recon.pixel_blocks(7, 200_000)] == [2, 2, 3]
+
+    def test_paper_scale_footprints_are_those_of_1024_pixel_blocks(self):
+        # A/256 with 100 detectors: the figures of the fixed 1024-pixel
+        # blocks the budget of values replaced (150 + 30 samples, n_t = 400)
+        assert recon.operator_bytes(256 * 256, 100, 400, exact=False) == 172_059_780
+        assert recon.operator_bytes(256 * 256, 100, 400, exact=True) == 114_098_176
+        op = SimpleNamespace(grid=SimpleNamespace(n=256), detectors=SimpleNamespace(n_s=100),
+                             blocks=recon.pixel_blocks(256 * 256, 100),
+                             table_bytes=lambda: (recon.TABLE_NODES_PER_DT * 400 + 1) * 100 * 8)
+        assert training.training_bytes(op, training.TrainConfig(), 150, 30) == 458_363_520
+        assert training.training_bytes(op, training.TrainConfig(weight_grid=32), 150, 30) == 5_181_461_120
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_sums_keep_their_pixel_major_bits_at_twenty_detectors(self, monkeypatch, block):
@@ -479,7 +512,7 @@ class TestBlockedBuild:
         # window at sound speed 1.25 zeroes the far pixels' geometry
         sc = _scenario(n=67, n_s=5, n_t=40, t_final=1.2)
         expected = _whole_image_build(sc.grid, sc.detectors, sc.time, 1.25, exact)
-        monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+        monkeypatch.setattr(recon, "BLOCK_VALUES", block * sc.detectors.n_s)
         op = BackprojectionOperator(sc.grid, sc.detectors, sc.time, 1.25, exact)
         held = {k: v for k, v in vars(op).items() if isinstance(v, np.ndarray)}
         assert (expected["geom"] == 0.0).any() and (expected["geom"] != 0.0).any()
@@ -513,7 +546,7 @@ class TestBlockedBuild:
         radius = math.hypot(0.75, 0.75)
         pos = np.array([[radius, 0.0], [0.75, -0.75]])
         det = DetectorArray(pos, pos / radius, 0.1, radius)
-        monkeypatch.setattr(recon, "PIXEL_BLOCK", 7)
+        monkeypatch.setattr(recon, "BLOCK_VALUES", 7 * det.n_s)
         time = TimeGrid(n_t=20, t_final=3.0)
         message = "a pixel center coincides with a detector position"
         with pytest.raises(ConfigError, match=message):

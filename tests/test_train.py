@@ -75,6 +75,16 @@ def wide_problem():
     return _simulated(n_s=20)
 
 
+@pytest.fixture(scope="module")
+def desk_problem():
+    # 64^2 with 20 detectors, as in the C_limited_sparse desk scale: one
+    # block of the default partition
+    sc = _scenario(n=64, n_s=20, n_t=40)
+    fwd = ForwardOperator(sc)
+    pairs = [(fwd.simulate(f), f) for f in (generate_phantom(PhantomParams(seed=s), sc.grid) for s in range(16))]
+    return sc, BackprojectionOperator.from_scenario(sc), pairs[:12], pairs[12:]
+
+
 class TestGradient:
     def test_matches_central_differences(self, small_problem):
         sc, op, pairs = small_problem
@@ -311,7 +321,7 @@ def _bits(values):
 
 def _built(monkeypatch, block, sc, exact=False):
     """An operator built in blocks of ``block`` pixels, which training runs on."""
-    monkeypatch.setattr(recon, "PIXEL_BLOCK", block)
+    monkeypatch.setattr(recon, "BLOCK_VALUES", block * sc.detectors.n_s)
     return BackprojectionOperator.from_scenario(sc, exact=exact)
 
 
@@ -329,7 +339,8 @@ def _detector_sum(terms):
 def _reference_sgd(train, heldout, cfg, op, dtype=training.DTYPE):
     """SGD and its learning-rate pre-scan from their definitions, calling
     op.contrib afresh at every use; returns (weights, train losses,
-    held-out losses, learning rate).  The arithmetic runs on whole
+    held-out losses, learning rate, mean probe losses at the rate the
+    pre-scan stopped on).  The arithmetic runs on whole
     (n, n, n_s) images of ``dtype`` (b, truths and parameters are cast to
     it) and sums the detectors in order; only the parameterization's
     detector-major rows and its upsampling are shared."""
@@ -350,20 +361,20 @@ def _reference_sgd(train, heldout, cfg, op, dtype=training.DTYPE):
             total += error_and_grad(v, pair)[0]
         return total / len(pairs)
 
-    lr = cfg.learning_rate
+    lr, probe_losses = cfg.learning_rate, []
     if lr is None:
         probe = train[:PROBE_SAMPLES]
         base = mean_error(values, probe)
         with np.errstate(over="ignore", invalid="ignore"):
             for exponent in range(2, -13, -1):
-                w, prev = values.copy(), base
+                w, probe_losses = values.copy(), [base]
                 for _ in range(PROBE_STEPS):
                     for pair in probe:
                         w -= 10.0**exponent * error_and_grad(w, pair)[1]
                     current = mean_error(w, probe) if np.all(np.isfinite(w)) else np.inf
-                    if not current < prev:
+                    if not current < probe_losses[-1]:
                         break
-                    prev = current
+                    probe_losses.append(current)
                 else:
                     lr = 10.0**exponent / 10.0
                     break
@@ -382,21 +393,25 @@ def _reference_sgd(train, heldout, cfg, op, dtype=training.DTYPE):
             values = values - (lr / len(batch)) * step
         train_losses.append(total / len(train))
         heldout_losses.append(mean_error(values, heldout))
-    return param.expand_values(values).T.reshape(n, n, n_s).astype(np.float64), train_losses, heldout_losses, lr
+    weights = param.expand_values(values).T.reshape(n, n, n_s).astype(np.float64)
+    return weights, train_losses, heldout_losses, lr, probe_losses
 
 
 def _assert_matches_reference(train, heldout, cfg, op, one_block):
     state = sgd_train(train, heldout, cfg, op)
-    weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op)
+    weights, train_losses, heldout_losses, lr, probe_losses = _reference_sgd(train, heldout, cfg, op)
     assert np.array_equal(_bits(state.weights.values), _bits(weights))
     assert state.learning_rate == lr
+    assert state.prescan[-1][0] == 10 * lr
     if one_block:
         assert state.train_losses == train_losses
         assert state.heldout_losses == heldout_losses
+        assert state.prescan[-1][1] == probe_losses
     else:
         # sums over blocks add the same terms in another order
         assert state.train_losses == pytest.approx(train_losses, rel=1e-13, abs=0)
         assert state.heldout_losses == pytest.approx(heldout_losses, rel=1e-13, abs=0)
+        assert state.prescan[-1][1] == pytest.approx(probe_losses, rel=1e-13, abs=0)
 
 
 class TestStoredContributions:
@@ -413,11 +428,12 @@ class TestStoredContributions:
         sc, op, train, heldout = simulated_problem
         cfg = TrainConfig(epochs=3, **overrides)
         state = sgd_train(train, heldout, cfg, op)
-        weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op)
+        weights, train_losses, heldout_losses, lr, probe_losses = _reference_sgd(train, heldout, cfg, op)
         assert np.array_equal(_bits(state.weights.values), _bits(weights))
         assert state.train_losses == train_losses
         assert state.heldout_losses == heldout_losses
         assert state.learning_rate == lr
+        assert state.prescan[-1] == (10 * lr, probe_losses)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -434,7 +450,7 @@ class TestStoredContributions:
         eps = np.finfo(np.float32).eps
         cfg = TrainConfig(epochs=20, **overrides)
         state = sgd_train(train, heldout, cfg, op)
-        weights, train_losses, heldout_losses, lr = _reference_sgd(train, heldout, cfg, op, dtype=np.float64)
+        weights, train_losses, heldout_losses, lr, _ = _reference_sgd(train, heldout, cfg, op, dtype=np.float64)
         assert state.learning_rate == lr
         np.testing.assert_allclose(state.weights.values, weights, rtol=0, atol=100 * eps * np.abs(weights).max())
         assert state.train_losses == pytest.approx(train_losses, rel=10 * eps, abs=0)
@@ -614,6 +630,63 @@ class TestStoredContributions:
         assert peak < all_b
 
 
+class TestDefaultPartition:
+    """The default blocks hold a budget of (pixel, detector) values: 64^2
+    with 20 detectors is one block, not the four of 1024 pixels."""
+
+    @pytest.mark.parametrize("block", [None, 1024], ids=["one-block", "four-blocks"])
+    def test_gathers_once_per_run_or_once_per_segment_and_block(self, desk_problem, monkeypatch, block):
+        # one block: each sample's b once per run, pre-scan included; four
+        # blocks: once per segment and block, and each probe's once more per
+        # rate tried and block
+        sc, op, train, heldout = desk_problem
+        if block is not None:
+            op = _built(monkeypatch, block, sc)
+        assert len(op.blocks) == (1 if block is None else 4)
+        tables, gathered = [], []
+        tabulate, gather = op.tabulate, op.gather
+
+        def tabulating(data):
+            tables.append(tabulate(data))
+            return tables[-1]
+
+        def counting(table, k):
+            gathered.append([t is table for t in tables].index(True))
+            return gather(table, k)
+
+        monkeypatch.setattr(op, "tabulate", tabulating)
+        monkeypatch.setattr(op, "gather", counting)
+        state = sgd_train(train, heldout, TrainConfig(epochs=5, checkpoint_every=2), op)
+        assert len(state.prescan) >= 1
+        counts = [gathered.count(i) for i in range(len(train) + len(heldout))]
+        if block is None:
+            assert counts == [1] * len(counts)
+        else:
+            probes = [len(state.prescan) * 4 if i < PROBE_SAMPLES else 0 for i in range(len(counts))]
+            assert counts == [3 * 4 + extra for extra in probes]
+
+    def test_checkpoints_match_blocks_of_1024_pixels_bitwise(self, desk_problem, monkeypatch):
+        # the per-pixel arithmetic does not depend on the block; only the
+        # float64 sums of per-block losses round differently
+        sc, op, train, heldout = desk_problem
+        runs = []
+        for built in (op, _built(monkeypatch, 1024, sc)):
+            checkpoints = []
+            state = sgd_train(train, heldout, TrainConfig(epochs=4, checkpoint_every=2), built,
+                              checkpoint=lambda e, w: checkpoints.append((e, _bits(w.values))))
+            runs.append((state, checkpoints))
+        (one, one_checkpoints), (four, four_checkpoints) = runs
+        assert [e for e, _ in one_checkpoints] == [e for e, _ in four_checkpoints] == [0, 2, 4]
+        for (_, bits), (_, four_bits) in zip(one_checkpoints, four_checkpoints):
+            assert np.array_equal(bits, four_bits)
+        assert one.learning_rate == four.learning_rate
+        assert one.train_losses == pytest.approx(four.train_losses, rel=1e-13, abs=0)
+        assert one.heldout_losses == pytest.approx(four.heldout_losses, rel=1e-13, abs=0)
+        assert [rate for rate, _ in one.prescan] == [rate for rate, _ in four.prescan]
+        for (_, losses), (_, four_losses) in zip(one.prescan, four.prescan):
+            assert losses == pytest.approx(four_losses, rel=1e-13, abs=0)
+
+
 class TestInPlaceUpdate:
     @pytest.mark.parametrize(
         "overrides",
@@ -686,21 +759,13 @@ class TestInPlaceUpdate:
 
 
 class TestMemoryCheck:
-    @pytest.fixture(scope="class")
-    def desk_problem(self):
-        # 64^2 with 20 detectors, as in the C_limited_sparse desk scale
-        sc = _scenario(n=64, n_s=20, n_t=40)
-        fwd = ForwardOperator(sc)
-        pairs = [(fwd.simulate(f), f) for f in (generate_phantom(PhantomParams(seed=s), sc.grid) for s in range(16))]
-        return BackprojectionOperator.from_scenario(sc), pairs[:12], pairs[12:]
-
     @pytest.mark.parametrize(
         "overrides", [{"learning_rate": 1e-3}, {}, {"weight_grid": 4}], ids=["given-rate", "prescan", "weight-grid"]
     )
     def test_footprint_bounds_the_traced_peak(self, desk_problem, overrides):
         # the footprint sums the phases (pre-scan, blocks, checkpoints), so
         # it may count up to twice what is ever held at once
-        op, train, heldout = desk_problem
+        _, op, train, heldout = desk_problem
         cfg = TrainConfig(epochs=2, checkpoint_every=1, **overrides)
         need = training.training_bytes(op, cfg, len(train), len(heldout))
         tracemalloc.start()
@@ -717,7 +782,7 @@ class TestMemoryCheck:
         # one in a single C-contiguous float64 array; beyond that array the
         # expand holds the finiteness mask (1/8 of it) and, with a weight
         # grid, the float32 upsampled weights (1/2)
-        op, train, heldout = desk_problem
+        _, op, train, heldout = desk_problem
         tensor_bytes = op.grid.n**2 * op.detectors.n_s * 8
         expand, alive, peaks = _WeightParam.expand, [], []
 
@@ -775,7 +840,7 @@ class TestPrescan:
         def gather(k):
             return [training._detector_major(op.gather(table, k), training.DTYPE) for table in tables]
 
-        lr = prescan_learning_rate(param, param.init_values("ones"), op.blocks, gather, truths)
+        lr, _ = prescan_learning_rate(param, param.init_values("ones"), op.blocks, gather, truths)
         assert lr > 0
         assert math.isclose(10 ** round(math.log10(lr)), lr, rel_tol=1e-12)
 
@@ -787,7 +852,7 @@ class TestPrescan:
         b = training._detector_major(op.contrib(data).values)
         truth = op.apply(w, data).values.reshape(-1)
         spans = [slice(0, sc.grid.n**2)]
-        assert prescan_learning_rate(param, param.init_values("ones"), spans, lambda k: [b], [truth]) == 1e-6
+        assert prescan_learning_rate(param, param.init_values("ones"), spans, lambda k: [b], [truth])[0] == 1e-6
 
     @pytest.mark.parametrize("block", [7, 100, None], ids=["block-7", "block-100", "default"])
     def test_full_resolution_training_gathers_no_whole_image(self, simulated_problem, monkeypatch, block):
@@ -803,11 +868,11 @@ class TestPrescan:
         state = sgd_train(train, heldout, TrainConfig(epochs=2), op)
         assert state.epoch == 2 and state.learning_rate > 0
 
-    def test_peak_stays_below_one_whole_image_probe_set(self):
+    def test_peak_stays_below_one_whole_image_probe_set(self, monkeypatch):
         # 64^2 with 20 detectors in 4 blocks: the probes' b of one block at
         # a time, never the float32 whole-image b of every probe
         sc = _scenario(n=64, n_s=20, n_t=40)
-        op = BackprojectionOperator.from_scenario(sc)
+        op = _built(monkeypatch, 1024, sc)
         pairs = [_random_pair(sc, seed) for seed in range(PROBE_SAMPLES)]
         param = _WeightParam(sc.grid, sc.detectors.n_s, None)
         tables = [op.tabulate(data) for data, _ in pairs]
