@@ -3,11 +3,12 @@
 # detectors, 150 training and 30 held-out phantoms, 100 epochs with a
 # checkpoint every 10, then the held-out evaluation. Each verb runs in
 # its own Python process through learnedbp.cli.main and is followed by
-# its wall time and peak RSS. Expect tens of minutes and about 1 GB of
-# memory. Outputs land in the directory given as the first argument,
-# ./paper_scale_out by default. An optional second argument names another
-# scenario label, run with that label's default detector count (20 for
-# B_sparse and C_limited_sparse):
+# its wall time and peak RSS. On one 2-core machine the four stages took
+# 29, 6, 97 and 1 s, and train peaked at 1000 MB RSS (gen-data at 132 MB,
+# evaluate at 298 MB). Outputs land in the directory given as the first
+# argument, ./paper_scale_out by default. An optional second argument
+# names another scenario label, run with that label's default detector
+# count (20 for B_sparse and C_limited_sparse):
 #   sh demos/paper_scale.sh paper_scale_b B_sparse
 set -e
 

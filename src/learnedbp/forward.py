@@ -325,11 +325,6 @@ class ForwardOperator:
                 np.add.at(sums[k], node, c1)
         return self.radii * sums / self.n_angles
 
-    def mean_table(self, img: Image, j: int) -> np.ndarray:
-        """Directional circular means of ``img`` around detector ``j`` at
-        every radial node, already multiplied by the radius."""
-        return self._tables(j, self._support_radius([img]), [cell_table(img.values)])[0]
-
     def simulate(self, img: Image) -> SensorData:
         return self.simulate_batch([img])[0]
 

@@ -173,11 +173,12 @@ def operator_bytes(n_px: int, n_s: int, n_t: int, exact: bool) -> int:
     """Footprint of a BackprojectionOperator build: what it keeps per
     (pixel, detector), geom and dist (16 B) or a gather matrix row (two
     float64 values and two int32 indices, 24 B), in table mode the blocks'
-    one shared row pointer and the quadrature table, the pixel centers, and
-    one pixel block of temporaries."""
+    one shared row pointer and the quadrature table, in exact mode a
+    gather's (block, n_t) quadrature matrix, the pixel centers, and one
+    pixel block of temporaries."""
     largest = max(span.stop - span.start for span in pixel_blocks(n_px, n_s))
     kept = n_px * n_s * (16 if exact else 24)
-    table = 0 if exact else (TABLE_NODES_PER_DT * n_t + 1) * n_t * 8 + (largest * n_s + 1) * 4
+    table = largest * n_t * 8 if exact else (TABLE_NODES_PER_DT * n_t + 1) * n_t * 8 + (largest * n_s + 1) * 4
     return kept + table + n_px * 16 + BUILD_TEMPORARIES * largest * n_s * 8
 
 

@@ -3,20 +3,20 @@
 The objective is the mean squared reconstruction error over a set of
 (sensor data, source image) pairs.  Because the reconstruction is
 sum_j W^2 b with b independent of W, the gradient has the closed form
-4 * (recon - truth) * W * b.  Full-resolution weights separate by
-pixel, so training tabulates each sample once per run and trains on the
-operator's pixel blocks: the epochs run in segments that end at the
-checkpoint epochs, and per segment and block b is gathered once.  The
-weights are bitwise those of whole-image epochs.  An image of one block
-(the blocks hold BLOCK_VALUES (pixel, detector) values, so 64^2 is one
-at 20 detectors) is gathered once per run, and so is the coarse weight
-grid's, whose one block is the whole image because the grid couples
-pixels.  Training is plain SGD, batch size one by default, deterministic
-given the dataset and the config.  One block loop around one SGD pass
-runs the training epochs and the pre-scan's probe epochs alike, so no
-probe's b is gathered as a whole image; a step writes its gradient into
-one buffer and updates the weights in place.  Divergence is checked once
-per epoch and block; the weight tensors handed out own their arrays.
+4 * (recon - truth) * W * b.  Full-resolution weights separate by pixel,
+so training tabulates each sample once per run and trains on the
+operator's pixel blocks, each through every epoch before the next: a
+block's b is gathered once per run, after each checkpoint epoch before
+the last its parameters are copied into that epoch's slot, and the
+checkpoints and log lines follow the last block.  The weights are
+bitwise those of whole-image epochs.  The coarse weight grid couples
+pixels, so its one block is the whole image.  Training is plain SGD,
+batch size one by default, deterministic given the dataset and the
+config.  One block loop around one SGD pass runs the training epochs
+and the pre-scan's probe epochs alike; the probes' b of every block is
+gathered once for every rate tried.  A step writes its gradient into
+one buffer and updates the weights in place.  Divergence is checked
+once per epoch and block; the weight tensors handed out own their arrays.
 
 Training arrays are detector-major: the parameters, each block's b and
 weights, and the gradient buffer are C-contiguous (n_s, pixels) rows, so
@@ -25,16 +25,17 @@ the factor 4 * residual broadcasts along them.  Only the public
 WeightTensor and grad keep the pixel-major (n, n, n_s) shape.
 
 The arrays the SGD loop streams hold DTYPE, float32: each block's b
-(cast in the transposing copy), the flat truths, the parameters, the
-gradient buffer, the pre-scan's probes and the weight grid's 1-D
-interpolation factor.  The data files and checkpoints store float32, so
-float64 there would hold nothing the files keep, and a step moves half
-the bytes.  The per-sample tables stay float64, as op.tabulate returns
-them; WeightTensor casts to float64 exactly, so a checkpoint holds the
-trained weights bitwise, and each frees the one before it.  grad, loss
-and sample_loss stay in float64.  Before tabulating, sgd_train compares
-its footprint (training_bytes) with the memory available to the process
-and raises ConfigError when it does not fit.
+(cast in the transposing copy), the flat truths, the parameters and the
+checkpoint slots, the gradient buffer, the pre-scan's probes and the
+weight grid's 1-D interpolation factor.  The data files and checkpoints
+store float32, so float64 there would hold nothing the files keep, and a
+step moves half the bytes.  The per-sample tables stay float64, as
+op.tabulate returns them, freed by the last block's gather; WeightTensor
+casts to float64 exactly, so a checkpoint holds the trained weights
+bitwise, and each frees the one before it.  grad, loss and sample_loss
+stay in float64.  Before tabulating, sgd_train compares its footprint
+(training_bytes) with the memory available to the process and raises
+ConfigError when it does not fit.
 """
 
 from __future__ import annotations
@@ -246,18 +247,6 @@ def _interp_line(coarse: int, fine: int):
     return sparse.csr_matrix((values, columns, np.arange(0, 2 * fine + 1, 2)), shape=(fine, coarse))
 
 
-def _upsample_matrix(coarse: int, fine: int):
-    """Sparse (fine^2, coarse^2) bilinear interpolation matrix between two
-    pixel-center grids over the same square, in float64: the Kronecker
-    square of :func:`_interp_line`.  Training applies it through that
-    factor; this product form is the reference the factored map is
-    checked against."""
-    from scipy import sparse
-
-    line = _interp_line(coarse, fine)
-    return sparse.kron(line, line, format="csr")
-
-
 def epoch_order(shuffle_seed: int, epoch: int, n_samples: int) -> np.ndarray:
     """Deterministic sample order for one epoch, derived from the run seed
     and the epoch index so every epoch reshuffles reproducibly."""
@@ -290,22 +279,23 @@ def _sgd_pass(param: _WeightParam, values: np.ndarray, contribs: list, truths: l
 
 
 def _block_epochs(param: _WeightParam, values: np.ndarray, spans: list, gather, truths: list,
-                  orders: list, batch_size: int, lr: float, scored: slice):
-    """Train ``values`` in place on each block of ``spans`` in turn, with
-    every sample's b of block k from ``gather(k)``: per order of ``orders``
-    one :func:`_sgd_pass`, then the samples ``scored`` are scored.  Returns
-    the per-epoch sums over blocks of the pass losses, the scores and the
-    wall seconds, and how many epochs every block finished: no block runs
-    the first epoch in which any block's weights or loss are non-finite."""
-    done = len(orders)
+                  orders: list, batch_size: int, lr: float, scored: slice, slots=None):
+    """Train ``values`` in place on each block of ``spans`` (its pixels and
+    parameter columns) in turn, with every sample's b of block k from
+    ``gather(k)``: per order of ``orders`` one :func:`_sgd_pass`, then the
+    samples ``scored`` are scored, and after epoch i the block's parameters
+    are copied into ``slots[i]`` when there is one.  Returns the per-epoch
+    sums over blocks of the pass losses, the scores and the wall seconds,
+    and how many epochs every block finished: no block runs the first
+    epoch in which any block's weights or loss are non-finite."""
+    done, slots = len(orders), slots or {}
     train_sums, scores, walls = ([0.0] * done for _ in range(3))
     for k, span in enumerate(spans):
         if done == 0:
             break  # a block diverged in the first epoch: no later block gathers its b
         contribs = None  # the last block's b is freed before the next is gathered
         contribs = gather(k)
-        # a full-resolution block trains a contiguous copy of its weight columns
-        params = values if param.coarse is not None else values[:, span].copy()
+        params = values[:, span].copy()  # a contiguous copy of the block's parameter columns
         block_truths = [truth[span] for truth in truths]
         grad_buf = np.empty_like(contribs[0])
         for i, order in enumerate(orders[:done]):
@@ -320,8 +310,9 @@ def _block_epochs(param: _WeightParam, values: np.ndarray, spans: list, gather, 
                                  for b, truth in zip(contribs[scored], block_truths[scored]))
             train_sums[i] += total
             walls[i] += _time.monotonic() - clock
-        if params is not values:
-            values[:, span] = params
+            if i in slots:
+                slots[i][:, span] = params
+        values[:, span] = params
     return train_sums, scores, walls, done
 
 
@@ -332,7 +323,8 @@ def prescan_learning_rate(param: _WeightParam, values: np.ndarray, spans: list, 
     mean probe loss of each epoch every block finished).
 
     The probes come as :func:`_block_epochs` takes its samples (sgd_train
-    passes its first PROBE_SAMPLES).  At each rate, from a copy of
+    passes the b of its first PROBE_SAMPLES, gathered once before the
+    pre-scan).  At each rate, from a copy of
     ``values``, an epoch without steps scores their base loss, then
     PROBE_STEPS epochs run over them in order with batch size one.
 
@@ -354,20 +346,27 @@ def prescan_learning_rate(param: _WeightParam, values: np.ndarray, spans: list, 
 
 
 def training_bytes(op: BackprojectionOperator, cfg: TrainConfig, n_train: int, n_heldout: int) -> int:
-    """Footprint of sgd_train's own arrays, summed over its phases: every
-    sample's float64 table; in DTYPE, every sample's flat truth and b of
-    one block and one more being gathered, two block-sized buffers, and
-    the parameters and a copy; in float64, the weight tensor and the b of
-    the largest gather, one operator block's product and, with a weight
-    grid, the whole image it is written into.  The pre-scan runs on fewer
-    samples in the same blocks, so it adds nothing."""
+    """Footprint of sgd_train's own arrays: every sample's float64 table;
+    in DTYPE, every sample's flat truth, the parameters and three
+    block-sized buffers (a b being gathered, a block's parameters and its
+    gradient), and the larger of the pre-scan's arrays (every probe's b of
+    every block and a copy of the parameters) and the epochs' (every
+    sample's b of one block and the checkpoint slots); in float64, the
+    weight tensor and the b of the largest gather, one operator block's
+    product (in exact mode also its (block, n_t) quadrature matrix) and,
+    with a weight grid, the whole image it is written into."""
     n_px, n_s, n_samples = op.grid.n**2, op.detectors.n_s, n_train + n_heldout
     op_block = max(span.stop - span.start for span in op.blocks)
     block = op_block if cfg.weight_grid is None else n_px
-    side = op.grid.n if cfg.weight_grid is None else cfg.weight_grid
-    streamed = ((n_samples + 3) * block + 2 * side * side) * n_s + n_samples * n_px
+    params = (op.grid.n if cfg.weight_grid is None else cfg.weight_grid) ** 2 * n_s
+    probes = min(PROBE_SAMPLES, n_train) if cfg.learning_rate is None else 0
+    every = cfg.checkpoint_every or cfg.epochs or 1
+    slots = len(range(every, cfg.epochs, every))
+    held = n_samples * n_px + params + 3 * block * n_s
+    phase = max(probes * n_px * n_s + params, n_samples * block * n_s + slots * params)
     wide = (n_px + op_block + (0 if cfg.weight_grid is None else n_px)) * n_s
-    return n_samples * op.table_bytes() + streamed * np.dtype(DTYPE).itemsize + wide * 8
+    wide += op_block * op.time.n_t if op.exact else 0
+    return n_samples * op.table_bytes() + (held + phase) * np.dtype(DTYPE).itemsize + wide * 8
 
 
 def sgd_train(
@@ -381,79 +380,80 @@ def sgd_train(
 ) -> TrainState:
     """Train the weight tensor on ``train_pairs`` = [(SensorData, Image), ...].
 
-    The epochs run in segments, each ending at a checkpoint epoch (every
-    ``cfg.checkpoint_every`` and the last).  Per segment, each epoch's
-    shuffle is drawn once, with a seed derived from (cfg.shuffle_seed,
-    epoch); one :func:`_block_epochs` call per segment runs the epochs on
-    each pixel block (see the module docstring) and scores the held-out
-    samples; an epoch's losses and wall time (SGD and scoring only) are
-    sums over blocks.
+    Each epoch's shuffle is drawn once, with a seed derived from
+    (cfg.shuffle_seed, epoch).  One :func:`_block_epochs` call runs every
+    epoch on each pixel block in turn (see the module docstring) and
+    scores the held-out samples; an epoch's losses and wall time (SGD and
+    scoring only) are sums over blocks.
     ``checkpoint(epoch, WeightTensor)`` fires for the initial tensor once
-    every sample is checked, then at the end of each segment; ``log(epoch,
-    train_loss, heldout_loss, lr, wall_seconds_so_far)`` for each epoch of
-    a finished segment.  Raises ConfigError before tabulating when
-    :func:`training_bytes` exceeds the memory available, and
-    DivergenceError naming the first epoch in which any block's weights
-    or loss are non-finite, after the callbacks of the epochs before it.
+    every sample is checked; after the last block, in epoch order, it
+    fires at each checkpoint epoch (every ``cfg.checkpoint_every``, from
+    that epoch's slot) and the last, and ``log(epoch, train_loss,
+    heldout_loss, lr, wall_seconds_so_far)`` at each epoch.  Raises
+    ConfigError before tabulating when :func:`training_bytes` exceeds the
+    memory available, and DivergenceError naming the first epoch in which
+    any block's weights or loss are non-finite, after the callbacks of the
+    epochs before it.
     """
     if len(train_pairs) == 0:
         raise ConfigError("training set is empty")
-    n, n_train = op.grid.n, len(train_pairs)
+    n_train = len(train_pairs)
     param = _WeightParam(op.grid, op.detectors.n_s, cfg.weight_grid)
     values = param.init_values(cfg.init, reader=weight_reader)
     state = TrainState(param.expand(values))  # validated before the pre-scan trains on it
     samples = list(train_pairs) + list(heldout_pairs)
-    # a weight grid couples pixels, so its one block is the whole image
-    spans = op.blocks if cfg.weight_grid is None else [slice(0, n * n)]
+    # a weight grid couples pixels, so its one block is every pixel and parameter
+    spans = op.blocks if cfg.weight_grid is None else [slice(None)]
     # fail before tabulating rather than swap
     require(
-        f"training on {len(samples)} samples at n={n}, n_s={op.detectors.n_s}",
+        f"training on {len(samples)} samples at n={op.grid.n}, n_s={op.detectors.n_s}",
         training_bytes(op, cfg, n_train, len(heldout_pairs)),
         available_memory(),
     )
     # every sample is checked here, before any callback may write
     tables = [op.tabulate(data) for data, _ in samples]
     truths = [truth.values.reshape(-1).astype(DTYPE) for _, truth in samples]
-    once = len(spans) == 1
-    if once:
-        # the one block's b is gathered once, each replacing its sample's table
-        for i, table in enumerate(tables):
-            b = op.gather(table, 0) if cfg.weight_grid is None else op.gather_image(table)
-            tables[i] = _detector_major(b, DTYPE)
 
-    def gather(k, stop=None):
-        """Block k's detector-major b of the first ``stop`` samples (all by default)."""
-        return tables[:stop] if once else [_detector_major(op.gather(table, k), DTYPE) for table in tables[:stop]]
+    def gather(k, count, free=False):
+        """Block k's detector-major b of the first ``count`` samples; with
+        ``free``, each sample's table is freed once its b is made."""
+        contribs = []
+        for i in range(count):
+            contribs.append(_detector_major(
+                op.gather(tables[i], k) if cfg.weight_grid is None else op.gather_image(tables[i]), DTYPE))
+            if free:
+                tables[i] = None
+        return contribs
 
     lr = cfg.learning_rate
     if lr is None:
         n_probes = min(PROBE_SAMPLES, n_train)
-        probes = truths[:n_probes]
-        lr, state.prescan = prescan_learning_rate(param, values, spans, lambda k: gather(k, n_probes), probes)
+        probes = [gather(k, n_probes) for k in range(len(spans))]  # gathered once for every rate tried
+        lr, state.prescan = prescan_learning_rate(param, values, spans, probes.__getitem__, truths[:n_probes])
+        probes = None  # freed before the epochs gather their b
     state.learning_rate = lr
     if checkpoint is not None:
         checkpoint(0, state.weights)
 
-    every = cfg.checkpoint_every or cfg.epochs or 1  # without a cadence, one segment
+    every = cfg.checkpoint_every or cfg.epochs or 1
+    slots = {epoch - 1: np.empty_like(values) for epoch in range(every, cfg.epochs, every)}  # by epoch index
+    orders = [epoch_order(cfg.shuffle_seed, epoch, n_train) for epoch in range(1, cfg.epochs + 1)]
+    train_sums, heldout_sums, walls, done = _block_epochs(
+        param, values, spans, lambda k: gather(k, len(samples), free=k == len(spans) - 1), truths, orders,
+        cfg.batch_size, lr, slice(n_train, None), slots)
     wall = 0.0
-    for first in range(1, cfg.epochs + 1, every):
-        last = min(first + every - 1, cfg.epochs)
-        orders = [epoch_order(cfg.shuffle_seed, epoch, n_train) for epoch in range(first, last + 1)]
-        # several blocks gather their b again each segment
-        train_sums, heldout_sums, walls, done = _block_epochs(
-            param, values, spans, gather, truths, orders, cfg.batch_size, lr, slice(n_train, None))
-        for i, epoch in enumerate(range(first, first + done)):
-            wall += walls[i]
-            state.epoch = epoch
-            state.train_losses.append(train_sums[i] / n_train)
-            state.heldout_losses.append(heldout_sums[i] / len(heldout_pairs) if heldout_pairs else float("nan"))
-            if epoch == last:
-                state.weights = None  # the previous tensor is freed before its successor is made
-                state.weights = param.expand(values)
-                if checkpoint is not None:
-                    checkpoint(epoch, state.weights)
-            if log is not None:
-                log(epoch, state.train_losses[-1], state.heldout_losses[-1], lr, wall)
-        if done < len(orders):
-            raise DivergenceError(f"training diverged at epoch {first + done}; try a lower learning rate")
+    for i in range(done):
+        wall += walls[i]
+        state.epoch = i + 1
+        state.train_losses.append(train_sums[i] / n_train)
+        state.heldout_losses.append(heldout_sums[i] / len(heldout_pairs) if heldout_pairs else float("nan"))
+        if i in slots or state.epoch == cfg.epochs:
+            state.weights = None  # the previous tensor is freed before its successor is made
+            state.weights = param.expand(slots.pop(i, values))
+            if checkpoint is not None:
+                checkpoint(state.epoch, state.weights)
+        if log is not None:
+            log(state.epoch, state.train_losses[-1], state.heldout_losses[-1], lr, wall)
+    if done < cfg.epochs:
+        raise DivergenceError(f"training diverged at epoch {done + 1}; try a lower learning rate")
     return state

@@ -237,7 +237,7 @@ class TestSimulate:
         op = ForwardOperator(sc)
         img = generate_phantom(PhantomParams(seed=4), sc.grid)
         j = 1
-        table = op.mean_table(img, j)
+        table = _mean_table(op, img, j)
         for i in (1, 7, 19):
             r = op.radii[i]
             expected = r * circular_mean(
@@ -629,9 +629,16 @@ def _per_detector_simulate(op: ForwardOperator, images) -> list:
     return [time_derivative(op.abel @ table, time.dt) for table in tables]
 
 
+def _mean_table(op: ForwardOperator, img: Image, j: int) -> np.ndarray:
+    """Directional circular means of ``img`` around detector ``j`` at every
+    radial node, already multiplied by the radius: one detector's
+    ``_tables`` for one image."""
+    return op._tables(j, op._support_radius([img]), [cell_table(img.values)])[0]
+
+
 def _mean_table_simulate(op: ForwardOperator, img: Image) -> np.ndarray:
-    """One image's data from each detector's own mean_table."""
-    table = np.stack([op.mean_table(img, j) for j in range(op.scenario.detectors.n_s)], axis=1)
+    """One image's data from each detector's own _mean_table."""
+    table = np.stack([_mean_table(op, img, j) for j in range(op.scenario.detectors.n_s)], axis=1)
     return time_derivative(op.abel @ table, op.scenario.time.dt)
 
 

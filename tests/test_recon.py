@@ -380,15 +380,19 @@ class TestPixelBlocks:
         assert [span.stop - span.start for span in recon.pixel_blocks(7, 200_000)] == [2, 2, 3]
 
     def test_paper_scale_footprints_are_those_of_1024_pixel_blocks(self):
-        # A/256 with 100 detectors: the figures of the fixed 1024-pixel
-        # blocks the budget of values replaced (150 + 30 samples, n_t = 400)
+        # A/256 with 100 detectors, 150 + 30 samples, n_t = 400: the
+        # footprints of the fixed 1024-pixel blocks the budget of values
+        # replaced, with exact mode's gather transient of 3.3 MB; training
+        # holds the probes' b (131 MB) or, per checkpoint epoch before the
+        # last, a 26 MB slot
         assert recon.operator_bytes(256 * 256, 100, 400, exact=False) == 172_059_780
-        assert recon.operator_bytes(256 * 256, 100, 400, exact=True) == 114_098_176
-        op = SimpleNamespace(grid=SimpleNamespace(n=256), detectors=SimpleNamespace(n_s=100),
+        assert recon.operator_bytes(256 * 256, 100, 400, exact=True) == 117_374_976
+        op = SimpleNamespace(grid=SimpleNamespace(n=256), detectors=SimpleNamespace(n_s=100), exact=False,
                              blocks=recon.pixel_blocks(256 * 256, 100),
                              table_bytes=lambda: (recon.TABLE_NODES_PER_DT * 400 + 1) * 100 * 8)
-        assert training.training_bytes(op, training.TrainConfig(), 150, 30) == 458_363_520
-        assert training.training_bytes(op, training.TrainConfig(weight_grid=32), 150, 30) == 5_181_461_120
+        assert training.training_bytes(op, training.TrainConfig(), 150, 30) == 515_707_520
+        assert training.training_bytes(op, training.TrainConfig(checkpoint_every=1), 150, 30) == 3_027_374_720
+        assert training.training_bytes(op, training.TrainConfig(weight_grid=32), 150, 30) == 5_181_051_520
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_sums_keep_their_pixel_major_bits_at_twenty_detectors(self, monkeypatch, block):
@@ -568,6 +572,22 @@ class TestBlockedBuild:
         kept = _kept_bytes(op)
         assert peak - kept < n * n * n_s * 8
         assert peak <= recon.operator_bytes(n * n, n_s, n_t, exact)
+
+    def test_exact_gather_peaks_within_the_footprint(self):
+        # a gather of the largest block makes a (5120, n_t) quadrature matrix
+        # per detector, 16.4 MB, twenty times the b it returns
+        n, n_s, n_t = 256, 20, 400
+        sc = make_scenario("B_sparse", n=n, n_s=n_s, n_t=n_t)
+        data = SensorData(np.random.default_rng(3).standard_normal((n_t, n_s)), sc.time, sc.detectors)
+        tracemalloc.start()
+        try:
+            op = BackprojectionOperator.from_scenario(sc, exact=True)
+            b = op.gather(op.tabulate(data), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b.shape == (5120, n_s)
+        assert peak <= recon.operator_bytes(n * n, n_s, n_t, exact=True)
 
 
 class TestMemoryCheck:

@@ -22,7 +22,7 @@ from learnedbp.training import (
     prescan_learning_rate,
     sample_loss,
     sgd_train,
-    _upsample_matrix,
+    _interp_line,
     _WeightParam,
 )
 
@@ -524,33 +524,40 @@ class TestStoredContributions:
             assert row[1:3] == pytest.approx(one_row[1:3], rel=1e-13, abs=0)
             assert row[3] == one_row[3]
 
-    def test_no_gather_after_the_first_block_diverges(self, simulated_problem, monkeypatch):
+    def test_later_blocks_run_only_the_epochs_before_a_divergence(self, simulated_problem, monkeypatch):
         # only the first block's rows are nonzero, so only they move; they
-        # overflow in epoch 2, and the three blocks after it gather nothing
-        # in that segment, with the message, checkpoints and rows of one block
+        # overflow in epoch 2, and the three blocks after it gather once and
+        # run epoch 1 only, with the message, checkpoints and rows of one block
         sc, _, train, heldout = simulated_problem
         init = np.zeros((sc.grid.n, sc.grid.n, sc.detectors.n_s))
         init[:4] = 1.0
         cfg = TrainConfig(epochs=6, learning_rate=5.0, init="resume.patb", checkpoint_every=1)
-        runs = []
+        sgd_pass, runs = training._sgd_pass, []
         for block in (64, sc.grid.n**2):
             op = _built(monkeypatch, block, sc)
             gather = op.gather
-            starts, checkpoints, rows = [], [], []
+            starts, passes, checkpoints, rows = [], [], [], []
 
             def counting(table, k, op=op, gather=gather):
                 starts.append(op.blocks[k].start)
                 return gather(table, k)
 
+            def passing(*args, starts=starts, passes=passes):
+                passes.append(starts[-1])
+                return sgd_pass(*args)
+
             monkeypatch.setattr(op, "gather", counting)
+            monkeypatch.setattr(training, "_sgd_pass", passing)
             with pytest.raises(DivergenceError) as info:
                 sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: checkpoints.append((e, _bits(w.values))),
                           log=lambda *row: rows.append(row), weight_reader=lambda path: init)
-            runs.append((str(info.value), checkpoints, rows, starts))
-        (message, checkpoints, rows, starts), (one_message, one_checkpoints, one_rows, one_starts) = runs
+            runs.append((str(info.value), checkpoints, rows, starts, passes))
+        (message, checkpoints, rows, starts, passes), (one_message, one_checkpoints, one_rows, one_starts,
+                                                       one_passes) = runs
         n_samples = len(train) + len(heldout)
-        assert starts == [start for start in (0, 64, 128, 192, 0) for _ in range(n_samples)]
-        assert one_starts == [0] * n_samples  # one block is gathered once per run
+        assert starts == [start for start in (0, 64, 128, 192) for _ in range(n_samples)]
+        assert passes == [0, 0, 64, 128, 192]
+        assert one_starts == [0] * n_samples and one_passes == [0, 0]
         assert "at epoch 2;" in one_message and message == one_message
         assert [e for e, _ in checkpoints] == [e for e, _ in one_checkpoints] == [0, 1]
         for (_, bits), (_, one_bits) in zip(checkpoints, one_checkpoints):
@@ -561,10 +568,10 @@ class TestStoredContributions:
             assert row[3] == one_row[3]
 
     @pytest.mark.parametrize("rate", [None, 1e-3], ids=["prescan", "given-rate"])
-    def test_segments_write_their_checkpoints_before_the_next_segment_runs(self, simulated_problem, monkeypatch,
-                                                                           rate):
-        # 256 pixels in 3 blocks; with a cadence of 2, epochs 1-2, 3-4 and
-        # 5 are segments, each gathering every sample's b once per block
+    def test_callbacks_follow_the_last_block(self, simulated_problem, monkeypatch, rate):
+        # 256 pixels in 3 blocks, each gathering every sample's b once and
+        # running all 5 epochs; with a cadence of 2, the checkpoints of
+        # epochs 2, 4 and 5 and every log line follow the last block
         sc, _, train, heldout = simulated_problem
         op = _built(monkeypatch, 100, sc)
         tables, events = [], []
@@ -583,22 +590,40 @@ class TestStoredContributions:
         cfg = TrainConfig(epochs=5, learning_rate=rate, checkpoint_every=2)
         sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: events.append(f"c{e}"),
                   log=lambda e, *rest: events.append(f"l{e}"))
-        start = events.index("c0")
-        if rate is None:
-            # every probe gather comes before the first checkpoint, in passes
-            # over blocks 0, 1 and 2 in order, each reading only the probes' tables
-            probe_pass = [(k, i) for k in range(3) for i in range(min(PROBE_SAMPLES, len(train)))]
-            passes, rest = divmod(start, len(probe_pass))
-            assert passes >= 1 and rest == 0
-            assert events[:start] == probe_pass * passes
-        else:
-            assert start == 0
-        segment = [(k, i) for k in range(3) for i in range(len(train) + len(heldout))]
-        assert events[start:] == (["c0"] + segment + ["l1", "c2", "l2"] + segment + ["l3", "c4", "l4"]
-                                  + segment + ["c5", "l5"])
+        # the probes' b of blocks 0, 1 and 2 is gathered once, before the first checkpoint
+        probes = [(k, i) for k in range(3) for i in range(min(PROBE_SAMPLES, len(train)))] if rate is None else []
+        blocks = [(k, i) for k in range(3) for i in range(len(train) + len(heldout))]
+        assert events == probes + ["c0"] + blocks + ["l1", "c2", "l2", "l3", "c4", "l4", "c5", "l5"]
+
+    @pytest.mark.parametrize("block", [None, 100], ids=["one-block", "three-blocks"])
+    def test_the_last_block_frees_each_table_once_its_b_is_made(self, simulated_problem, monkeypatch, block):
+        # so one block never holds every table and every b at once
+        sc, op, train, heldout = simulated_problem
+        if block is not None:
+            op = _built(monkeypatch, block, sc)
+        n_samples, last = len(train) + len(heldout), len(op.blocks) - 1
+        tables, alive = [], []
+        tabulate, gather = op.tabulate, op.gather
+
+        def tabulating(data):
+            table = tabulate(data)
+            tables.append(weakref.ref(table))
+            return table
+
+        def counting(table, k):
+            alive.append((k, sum(ref() is not None for ref in tables)))
+            return gather(table, k)
+
+        monkeypatch.setattr(op, "tabulate", tabulating)
+        monkeypatch.setattr(op, "gather", counting)
+        sgd_train(train, heldout, TrainConfig(epochs=2), op)
+        # the probes' gathers and the blocks before the last keep every table
+        held = [(k, n_samples) for k in range(last + 1) for _ in range(min(PROBE_SAMPLES, len(train)))]
+        held += [(k, n_samples) for k in range(last) for _ in range(n_samples)]
+        assert alive == held + [(last, n_samples - i) for i in range(n_samples)]
 
     def test_each_epoch_is_shuffled_once_for_all_blocks(self, simulated_problem, monkeypatch):
-        # 256 pixels in 3 blocks, segments of epochs 1-2, 3-4 and 5
+        # 256 pixels in 3 blocks, each running all 5 epochs, checkpoints every 2
         sc, _, train, heldout = simulated_problem
         epochs = []
 
@@ -635,14 +660,14 @@ class TestDefaultPartition:
     with 20 detectors is one block, not the four of 1024 pixels."""
 
     @pytest.mark.parametrize("block", [None, 1024], ids=["one-block", "four-blocks"])
-    def test_gathers_once_per_run_or_once_per_segment_and_block(self, desk_problem, monkeypatch, block):
-        # one block: each sample's b once per run, pre-scan included; four
-        # blocks: once per segment and block, and each probe's once more per
-        # rate tried and block
+    def test_gathers_each_block_once_per_run(self, desk_problem, monkeypatch, block):
+        # each sample's b once per block, and each probe's once more per
+        # block, shared by every rate the pre-scan tries
         sc, op, train, heldout = desk_problem
         if block is not None:
             op = _built(monkeypatch, block, sc)
-        assert len(op.blocks) == (1 if block is None else 4)
+        n_blocks = 1 if block is None else 4
+        assert len(op.blocks) == n_blocks
         tables, gathered = [], []
         tabulate, gather = op.tabulate, op.gather
 
@@ -657,13 +682,23 @@ class TestDefaultPartition:
         monkeypatch.setattr(op, "tabulate", tabulating)
         monkeypatch.setattr(op, "gather", counting)
         state = sgd_train(train, heldout, TrainConfig(epochs=5, checkpoint_every=2), op)
-        assert len(state.prescan) >= 1
+        assert len(state.prescan) > 1
         counts = [gathered.count(i) for i in range(len(train) + len(heldout))]
-        if block is None:
-            assert counts == [1] * len(counts)
-        else:
-            probes = [len(state.prescan) * 4 if i < PROBE_SAMPLES else 0 for i in range(len(counts))]
-            assert counts == [3 * 4 + extra for extra in probes]
+        assert counts == [2 * n_blocks if i < PROBE_SAMPLES else n_blocks for i in range(len(counts))]
+
+    def test_every_block_fills_every_checkpoint_slot(self, desk_problem, monkeypatch):
+        # four blocks: epoch 4 of 7 with a cadence of 2 is a slot, filled
+        # block by block, and holds bitwise the weights a 4-epoch run ends on
+        sc, _, train, heldout = desk_problem
+        op = _built(monkeypatch, 1024, sc)
+        assert len(op.blocks) == 4
+        checkpoints = {}
+        sgd_train(train, heldout, TrainConfig(epochs=7, checkpoint_every=2), op,
+                  checkpoint=lambda e, w: checkpoints.update({e: w}))
+        assert sorted(checkpoints) == [0, 2, 4, 6, 7]
+        state = sgd_train(train, heldout, TrainConfig(epochs=4), op)
+        assert np.array_equal(_bits(checkpoints[4].values), _bits(state.weights.values))
+        assert not np.array_equal(checkpoints[4].values, checkpoints[6].values)
 
     def test_checkpoints_match_blocks_of_1024_pixels_bitwise(self, desk_problem, monkeypatch):
         # the per-pixel arithmetic does not depend on the block; only the
@@ -776,6 +811,21 @@ class TestMemoryCheck:
             tracemalloc.stop()
         assert peak <= need < 2 * peak
 
+    def test_exact_mode_footprint_bounds_the_traced_peak(self, desk_problem):
+        # each exact gather makes a (4096, n_t) quadrature matrix per
+        # detector, 1.3 MB, beside the b it returns
+        sc, _, train, heldout = desk_problem
+        op = BackprojectionOperator.from_scenario(sc, exact=True)
+        cfg = TrainConfig(epochs=2, checkpoint_every=1)
+        need = training.training_bytes(op, cfg, len(train), len(heldout))
+        tracemalloc.start()
+        try:
+            sgd_train(train, heldout, cfg, op, checkpoint=lambda e, w: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need < 2 * peak
+
     @pytest.mark.parametrize("overrides", [{}, {"weight_grid": 16}], ids=["full-resolution", "weight-grid"])
     def test_a_checkpoint_holds_one_weight_tensor(self, desk_problem, monkeypatch, overrides):
         # each checkpoint frees the tensor before it, then writes the next
@@ -869,8 +919,9 @@ class TestPrescan:
         assert state.epoch == 2 and state.learning_rate > 0
 
     def test_peak_stays_below_one_whole_image_probe_set(self, monkeypatch):
-        # 64^2 with 20 detectors in 4 blocks: the probes' b of one block at
-        # a time, never the float32 whole-image b of every probe
+        # 64^2 with 20 detectors in 4 blocks: from a gather that makes one
+        # block's b at a time, the pre-scan never holds the float32
+        # whole-image b of every probe (sgd_train gathers them all up front)
         sc = _scenario(n=64, n_s=20, n_t=40)
         op = _built(monkeypatch, 1024, sc)
         pairs = [_random_pair(sc, seed) for seed in range(PROBE_SAMPLES)]
@@ -891,6 +942,18 @@ class TestPrescan:
             tracemalloc.stop()
         assert len(op.blocks) == 4
         assert peak < probe_set
+
+
+def _upsample_matrix(coarse: int, fine: int):
+    """Sparse (fine^2, coarse^2) bilinear interpolation matrix between two
+    pixel-center grids over the same square, in float64: the Kronecker
+    square of training's 1-D factor :func:`_interp_line`.  Training applies
+    it through that factor; this product form is the reference the factored
+    map is checked against."""
+    from scipy import sparse
+
+    line = _interp_line(coarse, fine)
+    return sparse.kron(line, line, format="csr")
 
 
 def _coo_upsample_matrix(coarse, fine):
