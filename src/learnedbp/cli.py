@@ -52,20 +52,18 @@ def _nonnegative(kind):
     return parse
 
 
-def _resolve_scenario(args, dataset=None):
-    """Scenario from --scenario, falling back to (and cross-checked
-    against) the dataset's own config, and the base seed: --seed (on the
-    verbs that take it), else the config's seed, else 0."""
+def _resolve_scenario(args, *datasets):
+    """Scenario from --scenario, falling back to the first dataset's own
+    config, cross-checked against every dataset's, and the base seed:
+    --seed (on the verbs that take it), else the config's seed, else 0."""
     scenario = cfg_seed = None
     if args.scenario is not None:
         scenario, cfg_seed = fileio.load_scenario_cfg(args.scenario)
-    if dataset is not None:
-        if scenario is None:
-            scenario = dataset.scenario
-        elif scenario.signature != dataset.scenario.signature:
-            raise ShapeMismatchError(
-                f"--scenario {scenario.signature} does not match dataset {dataset.scenario.signature}"
-            )
+    for dataset in datasets:
+        scenario = scenario or dataset.scenario
+        if scenario.signature != dataset.scenario.signature:
+            raise ShapeMismatchError(f"scenario {scenario.signature} of {args.scenario or datasets[0].root} "
+                                     f"does not match dataset {dataset.root} {dataset.scenario.signature}")
     if scenario is None:
         raise ConfigError("--scenario is required for this command")
     seed = getattr(args, "seed", None)
@@ -130,11 +128,11 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    train_set = fileio.Dataset.open(args.data)
-    scenario, _ = _resolve_scenario(args, dataset=train_set)
-    datasets = {"train": train_set}
+    datasets = {"train": fileio.Dataset.open(args.data)}
     if args.heldout:
         datasets["heldout"] = fileio.Dataset.open(args.heldout)
+    # both sets are checked against one scenario before --out is touched
+    scenario, _ = _resolve_scenario(args, *datasets.values())
     heldout_pairs = datasets["heldout"].pairs() if args.heldout else []
 
     op = BackprojectionOperator.from_scenario(scenario)
@@ -168,7 +166,7 @@ def cmd_train(args) -> int:
             fh.write(f"{epoch}, {train_loss!r}, {heldout_loss!r}, {lr!r}, {wall:.3f}\n")
 
     state = training.sgd_train(
-        train_set.pairs(),
+        datasets["train"].pairs(),
         heldout_pairs,
         cfg,
         op,
@@ -215,7 +213,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     dataset = fileio.Dataset.open(args.data)
-    scenario, _ = _resolve_scenario(args, dataset=dataset)
+    scenario, _ = _resolve_scenario(args, dataset)
     weights = _load_weights(args.weights, scenario) if args.weights else None
     op = BackprojectionOperator.from_scenario(scenario, exact=args.exact)
     report = metrics.evaluate(weights, dataset.pairs(), op, scenario.label, squared=args.squared)

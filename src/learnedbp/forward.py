@@ -5,8 +5,8 @@ integral over circular means of the source around that detector.  The
 simulator tabulates the means on a fine radial grid, integrates the
 inverse-square-root kernel exactly on each radial sub-interval (the
 singularity at r = t is handled analytically), and differentiates in
-time with finite differences.  Detector directivity multiplies each
-angular sample by the cos^2 sensitivity of the receiving detector.
+time with finite differences.  Each angular sample is multiplied by the
+receiving detector's sensitivity: cos^2 with directivity, 1 without.
 
 The image is read with bilinear interpolation, zero outside the grid.
 Each image is turned once into a table of its cells' bilinear
@@ -26,15 +26,16 @@ depend on the block size.
 The canonical detector layouts are symmetric under y -> -y, as are the
 pixel grid and the angular nodes, so each mirror pair of detectors is
 sampled once: the lower-index detector's samples read the image and its
-row-flipped copy, and the copy's means are the partner's to rounding.
-The lower-index and unpaired detectors' means are bitwise those of
-sampling each detector alone.  Each image then gets its own Abel
-product, a plain sum in column order over the quadrature matrix's CSR
-staircase, so its data do not depend on the batch and the product
-starts no BLAS threads.  Before allocating, the build compares the
-footprint of itself and of one GEN_CHUNK batch (simulation_bytes) with
-the memory available to the process and raises ConfigError when it
-does not fit.
+row-flipped copy, and the copy's means are the partner's to rounding.  A
+detector without a partner is a pair without the flipped half, so every
+detector goes through the same call, and the lower-index and unpaired
+detectors' means are bitwise those of sampling each alone.  Each image
+then gets its own Abel product, a plain sum in column order over the
+quadrature matrix's CSR staircase, so its data do not depend on the
+batch and the product starts no BLAS threads.  Before allocating, the
+build compares the footprint of itself and of one GEN_CHUNK batch
+(simulation_bytes) with the memory available to the process and raises
+ConfigError when it does not fit.
 """
 
 from __future__ import annotations
@@ -220,7 +221,8 @@ class ForwardOperator:
         cols = np.broadcast_to(np.arange(n_r + 1), inside.shape)[inside]
         self.abel = scipy.sparse.csr_array((data, cols, np.r_[0, np.cumsum(width)]), shape=inside.shape)
         self.omega = circle_nodes(n_angles)
-        self.phi = directivity_factors(det.normals, self.omega) if scenario.directivity_enabled else None
+        self.phi = (directivity_factors(det.normals, self.omega) if scenario.directivity_enabled
+                    else np.ones((det.n_s, n_angles)))  # no directivity: sensitivity 1 on every ray
         # mirror[j] = k when detector k is detector j reflected in the x-axis,
         # else j; as complex numbers the reflection conjugates position and normal
         z, u = (det.positions / det.radius) @ [1, 1j], det.normals @ [1, 1j]
@@ -250,7 +252,7 @@ class ForwardOperator:
         sampled; rays that miss the disk or have directivity 0 get none.
         Yields their radial node indices, their flat cell indices into a
         :func:`cell_table`, the fractional row and column offsets in the
-        cell, and their directivity (None when it is disabled).
+        cell, and their directivity (all ones when it is disabled).
         """
         grid = self.scenario.grid
         n, h = grid.n, grid.spacing
@@ -265,9 +267,7 @@ class ForwardOperator:
         last = np.clip(np.floor((-b + chord) / dr) + 1, -1, n_r).astype(np.int64)
         count = np.maximum(last - first + 1, 0)
         # radius**2 of a negative radius is positive, so test its sign too
-        seen = (disc >= 0) & (radius >= 0)
-        if self.phi is not None:
-            seen &= self.phi[j] > 0
+        seen = (disc >= 0) & (radius >= 0) & (self.phi[j] > 0)
         count[~seen] = 0
 
         # rays go to the block their first sample falls in: at most GATHER_BLOCK samples plus one ray
@@ -300,8 +300,7 @@ class ForwardOperator:
             cell = i0
             cell *= n + 2
             cell += j0
-            phi = None if self.phi is None else np.repeat(self.phi[j, lo:hi], m)
-            yield node, cell, fr, fc, phi
+            yield node, cell, fr, fc, np.repeat(self.phi[j, lo:hi], m)
 
     def _tables(self, j: int, radius: float, cells) -> np.ndarray:
         """Radius-weighted directional circular means around detector
@@ -320,8 +319,7 @@ class ForwardOperator:
                 c1 *= fc
                 c1 += c0
                 c1 += c3
-                if phi is not None:
-                    c1 *= phi
+                c1 *= phi
                 np.add.at(sums[k], node, c1)
         return self.radii * sums / self.n_angles
 
@@ -333,8 +331,7 @@ class ForwardOperator:
         circles once for the whole batch and each mirror pair's once for
         the batch and its row-flipped copies.  Each image's data are
         bitwise those of simulating it alone."""
-        scenario = self.scenario
-        grid, det, time = scenario.grid, scenario.detectors, scenario.time
+        grid, det, time = self.scenario.grid, self.scenario.detectors, self.scenario.time
         for img in images:
             if img.grid != grid:
                 raise ShapeMismatchError(f"image grid {img.grid} does not match scenario grid {grid}")
@@ -342,15 +339,11 @@ class ForwardOperator:
         cells = [cell_table(img.values) for img in images]
         # detector k = mirror[j] > j reads the image at the mirror points of
         # j's samples, which are j's samples of the row-flipped image
-        paired = self.mirror != np.arange(det.n_s)
-        flipped = [cell_table(img.values[::-1]) for img in images] if paired.any() else []
+        flipped = [cell_table(img.values[::-1]) for img in images]
         tables = np.empty((len(images), self.radii.shape[0], det.n_s))
         for j, k in enumerate(self.mirror):
-            if k == j:
-                tables[:, :, j] = self._tables(j, radius, cells)
-            elif k > j:
-                both = self._tables(j, radius, cells + flipped)
-                tables[:, :, j] = both[: len(images)]
-                tables[:, :, k] = both[len(images) :]
+            if k >= j:  # a lone detector (k == j) is a pair without its flipped half
+                means = self._tables(j, radius, cells + flipped if k > j else cells)
+                tables[:, :, j], tables[:, :, k] = means[: len(images)], means[-len(images) :]
         return [SensorData(time_derivative(self.abel @ table, time.dt), time, det) for table in tables]
 

@@ -185,7 +185,7 @@ class _WeightParam:
         self.grid = grid
         self.n_s = n_s
         self.coarse = coarse
-        self.line = None if coarse is None else _interp_line(coarse, grid.n).toarray().astype(DTYPE)
+        self.line = None if coarse is None else _interp_line(coarse, grid.n).astype(DTYPE)
 
     def init_values(self, init: str, reader=None) -> np.ndarray:
         """Fresh initial parameters of DTYPE; a reader's array is copied,
@@ -231,20 +231,18 @@ class _WeightParam:
         return (self.line.T @ full_grad.reshape(-1, n, n) @ self.line).reshape(-1, m * m)
 
 
-def _interp_line(coarse: int, fine: int):
-    """Sparse (fine, coarse) linear interpolation matrix between two
+def _interp_line(coarse: int, fine: int) -> np.ndarray:
+    """Dense float64 (fine, coarse) linear interpolation matrix between two
     pixel-center grids over the same interval; edge-clamped so constants
     are preserved exactly."""
-    from scipy import sparse
-
     # fine pixel centers in coarse index coordinates
     pos = (np.arange(fine) + 0.5) * (coarse / fine) - 0.5
     i0 = np.clip(np.floor(pos).astype(np.int64), 0, coarse - 2)
     frac = np.clip(pos - i0, 0.0, 1.0)
-    # row i holds 1 - frac[i] at column i0[i] and frac[i] at i0[i] + 1
-    values = np.stack([1.0 - frac, frac], axis=1).ravel()
-    columns = np.stack([i0, i0 + 1], axis=1).ravel()
-    return sparse.csr_matrix((values, columns, np.arange(0, 2 * fine + 1, 2)), shape=(fine, coarse))
+    line, rows = np.zeros((fine, coarse)), np.arange(fine)
+    line[rows, i0] = 1.0 - frac
+    line[rows, i0 + 1] = frac
+    return line
 
 
 def epoch_order(shuffle_seed: int, epoch: int, n_samples: int) -> np.ndarray:
@@ -320,27 +318,35 @@ def prescan_learning_rate(param: _WeightParam, values: np.ndarray, spans: list, 
     """Pick the default learning rate: one decade below the largest power of
     ten for which a few probe epochs on a few samples keep the loss finite
     and decreasing.  Returns the rate and, per rate tried, the pair (rate,
-    mean probe loss of each epoch every block finished).
+    mean probe loss of each epoch it ran).
 
     The probes come as :func:`_block_epochs` takes its samples (sgd_train
     passes the b of its first PROBE_SAMPLES, gathered once before the
-    pre-scan).  At each rate, from a copy of
-    ``values``, an epoch without steps scores their base loss, then
-    PROBE_STEPS epochs run over them in order with batch size one.
+    pre-scan).  At each rate, from a copy of ``values``, an epoch without
+    steps scores their base loss (0 returns at once), then up to
+    PROBE_STEPS epochs, one :func:`_block_epochs` call each (blocks
+    separate by pixel, so the losses are bitwise those of one call), run
+    over them in order with batch size one until one turns non-finite
+    (not listed) or its loss does not fall (listed).
 
     The backoff matters: the probes run a few dozen updates, but an epoch
     over a real training set runs hundreds, and a rate at the edge of
     stability can survive the former yet blow up mid-epoch."""
-    orders = [range(0)] + [range(len(truths))] * PROBE_STEPS
     probes = []
     for exponent in range(2, -13, -1):
-        lr = 10.0**exponent
-        _, losses, _, done = _block_epochs(param, values.copy(), spans, gather, truths, orders, 1, lr, slice(None))
-        probes.append((lr, [total / len(truths) for total in losses[:done]]))
-        if losses[0] == 0.0:
-            return 1e-6, probes
-        # a non-finite loss is not below the one before it
-        if done == len(orders) and all(prev > current for prev, current in zip(losses, losses[1:])):
+        lr, trial, losses = 10.0**exponent, values.copy(), []
+        probes.append((lr, losses))
+        for order in [range(0)] + [range(len(truths))] * PROBE_STEPS:
+            _, (total,), _, done = _block_epochs(param, trial, spans, gather, truths, [order], 1, lr, slice(None))
+            if not done:
+                break  # no block finished this non-finite epoch
+            losses.append(total / len(truths))
+            if not order and total == 0.0:
+                return 1e-6, probes  # a base loss of 0 needs no steps
+            if order and not total < last:  # a NaN loss is not below the one before it either
+                break
+            last = total
+        else:
             return lr / 10.0, probes
     raise DivergenceError("learning-rate pre-scan found no stable step size; data may be degenerate")
 
@@ -411,6 +417,8 @@ def sgd_train(
         available_memory(),
     )
     # every sample is checked here, before any callback may write
+    if any(truth.grid != op.grid for _, truth in samples):
+        raise ShapeMismatchError(f"a truth image's grid does not match the operator grid {op.grid}")
     tables = [op.tabulate(data) for data, _ in samples]
     truths = [truth.values.reshape(-1).astype(DTYPE) for _, truth in samples]
 

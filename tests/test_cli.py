@@ -513,12 +513,11 @@ def test_train_touches_out_only_once_training_starts(tmp_path, train_dir):
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
-@pytest.mark.parametrize("rate", [["--lr", "1e-4"], []], ids=["given-rate", "prescan"])
-def test_train_heldout_of_another_shape_leaves_out_untouched(tmp_path, train_dir, rate, capsys):
-    # only the training set is checked against the scenario up front; every
-    # held-out sample must be checked before epoch 0's checkpoint clears --out
-    cfg = tmp_path / "long.cfg"
-    fileio.save_scenario_cfg(cfg, make_scenario("B_sparse", n=N, n_s=N_S, n_t=N_T + 10))
+def _assert_heldout_rejected(tmp_path, train_dir, scenario, rate, capsys):
+    """A train run with a held-out set made under ``scenario`` exits 2,
+    naming that set, before epoch 0's checkpoint clears --out."""
+    cfg = tmp_path / "heldout.cfg"
+    fileio.save_scenario_cfg(cfg, scenario)
     heldout = tmp_path / "heldout"
     assert main(["gen-data", "--scenario", str(cfg), "--out", str(heldout), "--count", "1", "--split", "test"]) == 0
     run = tmp_path / "run"
@@ -527,8 +526,22 @@ def test_train_heldout_of_another_shape_leaves_out_untouched(tmp_path, train_dir
     capsys.readouterr()
     argv = ["train", "--data", str(train_dir), "--heldout", str(heldout), "--out", str(run), "--epochs", "2"]
     assert main(argv + rate) == 2
-    assert "does not match operator" in capsys.readouterr().err
+    assert f"does not match dataset {heldout}" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("rate", [["--lr", "1e-4"], []], ids=["given-rate", "prescan"])
+def test_train_heldout_of_another_shape_leaves_out_untouched(tmp_path, train_dir, rate, capsys):
+    _assert_heldout_rejected(tmp_path, train_dir, make_scenario("B_sparse", n=N, n_s=N_S, n_t=N_T + 10), rate, capsys)
+
+
+@pytest.mark.parametrize(
+    "label, n", [("C_limited_sparse", N), ("B_sparse", N + 4)], ids=["other-label", "other-grid"]
+)
+def test_train_heldout_of_another_scenario_exits_2_and_leaves_out_untouched(tmp_path, train_dir, label, n, capsys):
+    # the same data shapes but another geometry would score a different
+    # problem; another image grid would fail mid-run
+    _assert_heldout_rejected(tmp_path, train_dir, make_scenario(label, n=n, n_s=N_S, n_t=N_T), [], capsys)
 
 
 @pytest.mark.parametrize("verb", ["train", "reconstruct"])

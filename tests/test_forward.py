@@ -287,7 +287,7 @@ def _oracle_simulate(op: ForwardOperator, images) -> np.ndarray:
     for j in range(det.n_s):
         points = det.positions[j][None, None, :] + op.radii[:, None, None] * op.omega[None, :, :]
         idx, wts = _oracle_plan(sc.grid, points)
-        if op.phi is not None:
+        if sc.directivity_enabled:
             wts = wts * op.phi[j][None, None, :]
         for k, img in enumerate(images):
             vals = img.values.take(idx.reshape(4, -1))
@@ -358,7 +358,7 @@ def _square_samples(op: ForwardOperator, j: int):
     y *= r
     y += pos[1]
     idx, wts = bilinear_stencil(grid, x, y)
-    if op.phi is not None:
+    if op.scenario.directivity_enabled:
         wts *= np.repeat(op.phi[j], count)
     return node, idx, wts
 
@@ -382,7 +382,8 @@ def _slab_disk_samples(op: ForwardOperator, j: int, radius: float, half: float |
     """The points ForwardOperator._sample_blocks samples, in one block,
     with each ray clipped to the square |x|, |y| <= ``half`` (by default
     the padded square; infinite for none) as well as to the support
-    disk: their radial nodes, coordinates and directivity (or None)."""
+    disk: their radial nodes, coordinates and directivity (ones when it
+    is disabled)."""
     grid = op.scenario.grid
     pos = op.scenario.detectors.positions[j]
     if half is None:
@@ -401,10 +402,8 @@ def _slab_disk_samples(op: ForwardOperator, j: int, radius: float, half: float |
     first = np.clip(np.ceil(r_in / dr) - 1, 0, n_r + 1).astype(np.int64)
     last = np.clip(np.floor(r_out / dr) + 1, -1, n_r).astype(np.int64)
     count = np.maximum(last - first + 1, 0)
-    seen = (disc >= 0) & (radius >= 0)
-    if op.phi is not None:
-        seen &= op.phi[j] > 0
-    count[~seen] = 0
+    phi = op.phi[j] if op.scenario.directivity_enabled else np.ones(op.n_angles)
+    count[~((disc >= 0) & (radius >= 0) & (phi > 0))] = 0
 
     skip = np.cumsum(count) - count - first
     node = np.arange(count.sum()) - np.repeat(skip, count)
@@ -415,8 +414,7 @@ def _slab_disk_samples(op: ForwardOperator, j: int, radius: float, half: float |
     y = np.repeat(op.omega[:, 1], count)
     y *= r
     y += pos[1]
-    phi = None if op.phi is None else np.repeat(op.phi[j], count)
-    return node, x, y, phi
+    return node, x, y, np.repeat(phi, count)
 
 
 def _old_cells(grid: ImageGrid, x: np.ndarray, y: np.ndarray):
@@ -442,8 +440,7 @@ def _one_block(op: ForwardOperator, j: int, radius: float):
     blocks = list(op._sample_blocks(j, radius))
     if not blocks:
         return None
-    phi = None if blocks[0][4] is None else np.concatenate([block[4] for block in blocks])
-    return tuple(np.concatenate([block[q] for block in blocks]) for q in range(4)) + (phi,)
+    return tuple(np.concatenate([block[q] for block in blocks]) for q in range(5))
 
 
 def _one_pixel(grid: ImageGrid, i: int, j: int, value: float = 1.0) -> Image:
@@ -572,7 +569,8 @@ class TestSupportClip:
             assert all(block[0].size <= 500 + longest for block in blocks)
             for q in range(4):
                 np.testing.assert_array_equal(np.concatenate([block[q] for block in blocks]), whole[q])
-            assert whole[4] is None and all(block[4] is None for block in blocks)
+            # no directivity is a sensitivity table of ones
+            assert np.all(whole[4] == 1.0) and all(np.all(block[4] == 1.0) for block in blocks)
 
     @pytest.mark.parametrize(
         "label, n, n_s, n_t",

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from learnedbp.errors import ConfigError, DivergenceError
+from learnedbp.errors import ConfigError, DivergenceError, ShapeMismatchError
 from learnedbp.forward import ForwardOperator, SensorData
 from learnedbp.geometry import ImageGrid, Scenario, TimeGrid, make_detectors
 from learnedbp.phantoms import Image, PhantomParams, generate_phantom
@@ -298,6 +298,18 @@ class TestSgdTrain:
         sc, op, _ = small_problem
         with pytest.raises(ConfigError):
             sgd_train([], [], TrainConfig(epochs=1, learning_rate=0.0), op)
+
+    @pytest.mark.parametrize("role", ["train", "heldout"])
+    def test_truth_of_another_grid_is_rejected_before_any_callback(self, small_problem, role):
+        sc, op, pairs = small_problem
+        data, _ = pairs[0]
+        other = (data, Image(ImageGrid(n=sc.grid.n + 4), np.zeros((sc.grid.n + 4,) * 2)))
+        train, heldout = (pairs[1:] + [other], []) if role == "train" else (pairs[1:], [other])
+        calls = []
+        with pytest.raises(ShapeMismatchError, match="grid does not match the operator grid"):
+            sgd_train(train, heldout, TrainConfig(epochs=1), op,
+                      checkpoint=lambda *a: calls.append(a), log=lambda *a: calls.append(a))
+        assert calls == []
 
     def test_batch_size_two_runs(self, simulated_problem):
         sc, op, train, heldout = simulated_problem
@@ -904,6 +916,28 @@ class TestPrescan:
         spans = [slice(0, sc.grid.n**2)]
         assert prescan_learning_rate(param, param.init_values("ones"), spans, lambda k: [b], [truth])[0] == 1e-6
 
+    def test_a_rate_stops_at_the_epoch_that_settles_it(self, small_problem, monkeypatch):
+        # one block: rate 1 rises in its first epoch and runs no further
+        # epoch; a rate whose listed losses all fall stopped at a non-finite one
+        sc, op, pairs = small_problem
+        passes, sgd_pass = [], training._sgd_pass
+
+        def counting(param, values, contribs, truths, order, *rest):
+            passes.append(len(order))
+            return sgd_pass(param, values, contribs, truths, order, *rest)
+
+        monkeypatch.setattr(training, "_sgd_pass", counting)
+        state = sgd_train(pairs, [], TrainConfig(epochs=0), op)
+        assert len(op.blocks) == 1 and state.learning_rate == 0.01
+        rate, losses = state.prescan[2]
+        assert rate == 1.0 and len(losses) == 2 and losses[1] > losses[0]
+        expected = 0
+        for rate, losses in state.prescan[:-1]:
+            falling = all(prev > current for prev, current in zip(losses, losses[1:]))
+            expected += len(losses) - 1 + falling
+        expected += PROBE_STEPS
+        assert sum(1 for steps in passes if steps) == expected
+
     @pytest.mark.parametrize("block", [7, 100, None], ids=["block-7", "block-100", "default"])
     def test_full_resolution_training_gathers_no_whole_image(self, simulated_problem, monkeypatch, block):
         # the probes' b is gathered block by block, like the training samples'
@@ -947,7 +981,7 @@ class TestPrescan:
 def _upsample_matrix(coarse: int, fine: int):
     """Sparse (fine^2, coarse^2) bilinear interpolation matrix between two
     pixel-center grids over the same square, in float64: the Kronecker
-    square of training's 1-D factor :func:`_interp_line`.  Training applies
+    square of training's dense 1-D factor :func:`_interp_line`.  Training applies
     it through that factor; this product form is the reference the factored
     map is checked against."""
     from scipy import sparse
@@ -986,6 +1020,8 @@ class TestUpsampleMatrix:
     )
     def test_kronecker_square_matches_entrywise_build_bitwise(self, coarse, fine):
         u, oracle = _upsample_matrix(coarse, fine), _coo_upsample_matrix(coarse, fine)
+        # the dense 1-D factor stores no zero weights, so neither does its Kronecker square
+        oracle.eliminate_zeros()
         assert u.shape == oracle.shape
         assert np.array_equal(u.indptr, oracle.indptr)
         assert np.array_equal(u.indices, oracle.indices)
