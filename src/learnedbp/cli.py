@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,12 +41,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _nonnegative(kind):
-    """argparse type: ``kind``, rejecting values below 0 (and NaN)."""
+    """argparse type: ``kind``, rejecting values below 0 (and NaN and inf)."""
 
     def parse(text):
         value = kind(text)
-        if not value >= 0:
-            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__
@@ -61,9 +62,11 @@ def _resolve_scenario(args, *datasets):
         scenario, cfg_seed = fileio.load_scenario_cfg(args.scenario)
     for dataset in datasets:
         scenario = scenario or dataset.scenario
-        if scenario.signature != dataset.scenario.signature:
-            raise ShapeMismatchError(f"scenario {scenario.signature} of {args.scenario or datasets[0].root} "
-                                     f"does not match dataset {dataset.root} {dataset.scenario.signature}")
+        if scenario != dataset.scenario:
+            differ = [f.name for f in dataclasses.fields(scenario)
+                      if getattr(scenario, f.name) != getattr(dataset.scenario, f.name)]
+            raise ShapeMismatchError(f"scenario of {args.scenario or datasets[0].root} does not match "
+                                     f"dataset {dataset.root} in {', '.join(differ)}")
     if scenario is None:
         raise ConfigError("--scenario is required for this command")
     seed = getattr(args, "seed", None)

@@ -153,11 +153,7 @@ def abel_weights(tau: np.ndarray, r: np.ndarray, nodes_per_sample: int) -> np.nd
 
 def time_derivative(v: np.ndarray, dt: float) -> np.ndarray:
     """Central finite difference along axis 0, one-sided at both ends."""
-    out = np.empty_like(v)
-    out[0] = (v[1] - v[0]) / dt
-    out[-1] = (v[-1] - v[-2]) / dt
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-    return out
+    return np.gradient(v, dt, axis=0)
 
 
 def simulation_bytes(n: int, n_s: int, n_t: int, n_angles: int, n_r_per_dt: int) -> int:

@@ -14,7 +14,7 @@ after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class ImageGrid:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError(f"grid needs n >= 2 pixels per side, got {self.n}")
-        if not self.extent > 0:
-            raise ConfigError(f"grid extent must be positive, got {self.extent}")
+        if not 0 < self.extent < math.inf:
+            raise ConfigError(f"grid extent must be positive and finite, got {self.extent}")
 
     @property
     def spacing(self) -> float:
@@ -100,8 +100,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_t < 2:
             raise ConfigError(f"time grid needs n_t >= 2, got {self.n_t}")
-        if not self.t_final > 0:
-            raise ConfigError(f"t_final must be positive, got {self.t_final}")
+        if not 0 < self.t_final < math.inf:
+            raise ConfigError(f"t_final must be positive and finite, got {self.t_final}")
 
     @property
     def dt(self) -> float:
@@ -118,6 +118,7 @@ class DetectorArray:
     ``positions`` is (n_s, 2), ``normals`` the matching outward unit
     normals, and ``arc_weight`` the arc length each detector represents in
     the boundary integral (one shared value; the arrays are read-only).
+    Two detector arrays are equal when all four fields are, the arrays by value.
     """
 
     positions: np.ndarray
@@ -132,13 +133,20 @@ class DetectorArray:
             raise ConfigError("detector positions must have shape (n_s, 2)")
         if self.normals.shape != self.positions.shape:
             raise ConfigError("detector normals must match positions in shape")
-        if not self.arc_weight > 0:
-            raise ConfigError("arc_weight must be positive")
-        if not self.radius > 0:
-            raise ConfigError("detection radius must be positive")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.normals).all()):
+            raise ConfigError("detector positions and normals must be finite")
+        if not 0 < self.arc_weight < math.inf:
+            raise ConfigError("arc_weight must be positive and finite")
+        if not 0 < self.radius < math.inf:
+            raise ConfigError("detection radius must be positive and finite")
         r = np.linalg.norm(self.positions, axis=1)
         if np.any(np.abs(r - self.radius) > 1e-12 * self.radius):
             raise ConfigError("detector positions must lie on the detection circle")
+
+    def __eq__(self, other):
+        if not isinstance(other, DetectorArray):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def n_s(self) -> int:
@@ -166,8 +174,8 @@ def make_detectors(
         raise ConfigError(f"unknown scenario label {label!r}")
     if n_s < 1:
         raise ConfigError(f"need at least one detector, got n_s={n_s}")
-    if not radius > 0:
-        raise ConfigError(f"detection radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ConfigError(f"detection radius must be positive and finite, got {radius}")
 
     if label == "B_sparse":
         angles = 2.0 * math.pi * np.arange(n_s) / n_s
@@ -176,8 +184,8 @@ def make_detectors(
         if label != "custom":
             start_angle, end_angle = HALF_CIRCLE_START, HALF_CIRCLE_END
         span = end_angle - start_angle
-        if not span > 0:
-            raise ConfigError("detector arc must have positive angular span")
+        if not 0 < span < math.inf:
+            raise ConfigError("detector arc must have a positive and finite angular span")
         angles = start_angle + (np.arange(n_s) + 0.5) * span / n_s
         arc_weight = span * radius / n_s
 
@@ -198,7 +206,8 @@ def directivity_factors(normals: np.ndarray, rays: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete measurement configuration for simulation and training."""
+    """Complete measurement configuration for simulation and training.
+    Two scenarios are equal when all six fields are, the detectors by value."""
 
     grid: ImageGrid
     detectors: DetectorArray
@@ -208,8 +217,8 @@ class Scenario:
     label: str = "custom"
 
     def __post_init__(self):
-        if not self.sound_speed > 0:
-            raise ConfigError(f"sound speed must be positive, got {self.sound_speed}")
+        if not 0 < self.sound_speed < math.inf:
+            raise ConfigError(f"sound speed must be positive and finite, got {self.sound_speed}")
         if self.label not in SCENARIO_LABELS:
             raise ConfigError(f"unknown scenario label {self.label!r}")
         pos = self.detectors.positions
@@ -221,23 +230,6 @@ class Scenario:
             gaps = np.diff(np.concatenate([angles, angles[:1] + 2.0 * math.pi]))
             if np.any(np.abs(gaps - 2.0 * math.pi / len(angles)) > 1e-9):
                 raise ConfigError("label B_sparse requires equidistant detectors on the full circle")
-
-    @property
-    def signature(self) -> tuple:
-        """The fields two scenarios must share for data made under one to be
-        read under the other."""
-        det = self.detectors
-        return (
-            self.label,
-            self.grid.n,
-            self.grid.extent,
-            det.n_s,
-            det.radius,
-            self.time.n_t,
-            self.time.t_final,
-            self.directivity_enabled,
-            self.sound_speed,
-        )
 
 
 # default detector counts for the three canonical arrangements; custom arcs get 100

@@ -273,13 +273,10 @@ class BackprojectionOperator:
         return cls(scenario.grid, scenario.detectors, scenario.time, scenario.sound_speed, exact)
 
     def _check(self, data: SensorData):
-        if data.values.shape != (self.time.n_t, self.detectors.n_s):
-            raise ShapeMismatchError(
-                f"data shape {data.values.shape} does not match operator (n_t, n_s)="
-                f"{(self.time.n_t, self.detectors.n_s)}"
-            )
-        if abs(data.time.t_final - self.time.t_final) > 1e-12 * self.time.t_final:
-            raise ShapeMismatchError("data time window does not match operator")
+        if data.time != self.time:
+            raise ShapeMismatchError(f"data time grid {data.time} does not match the operator's {self.time}")
+        if data.detectors != self.detectors:
+            raise ShapeMismatchError("data detectors do not match the operator's")
 
     def tabulate(self, data: SensorData) -> np.ndarray:
         """The per-sample part of b: the filtered data q in exact mode, else

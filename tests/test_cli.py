@@ -32,6 +32,9 @@ N = 16
 N_S = 4
 N_T = 30
 CFG_SEED = 7
+# two custom detector arcs of N_S detectors each, of one span
+ARC = (0.5, 2.5)
+OTHER_ARC = (1.0, 3.0)
 
 
 def f32(values):
@@ -71,6 +74,17 @@ def test_dir(tmp_path_factory, cfg_path):
 
 
 @pytest.fixture(scope="module")
+def arc_dir(tmp_path_factory):
+    """A training set on the custom detector arc ARC."""
+    root = tmp_path_factory.mktemp("arc")
+    cfg = root / "scenario.cfg"
+    fileio.save_scenario_cfg(cfg, make_scenario("custom", n=N, n_s=N_S, n_t=N_T, arc=ARC), arc=ARC)
+    rc = main(["gen-data", "--scenario", str(cfg), "--out", str(root / "train"), "--count", "2"])
+    assert rc == 0
+    return root / "train"
+
+
+@pytest.fixture(scope="module")
 def ones_weights(tmp_path_factory):
     path = tmp_path_factory.mktemp("weights") / "ones.patb"
     fileio.write_patb(path, np.ones((N, N, N_S)))
@@ -105,7 +119,9 @@ def test_bad_flag_value_writes_nothing(tmp_path, cfg_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--noise", "-0.5"), ("--noise", "nan")])
+@pytest.mark.parametrize(
+    "flag, value", [("--count", "-1"), ("--noise", "-0.5"), ("--noise", "nan"), ("--noise", "inf")]
+)
 def test_negative_count_or_noise_leaves_a_dataset_untouched(tmp_path, cfg_path, flag, value):
     out = tmp_path / "set"
     argv = ["gen-data", "--scenario", str(cfg_path), "--out", str(out), "--count", "2"]
@@ -350,6 +366,16 @@ def test_gen_data_bad_operator_argument_creates_no_out(tmp_path, cfg_path, flag,
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("line", ["extent=inf", "arc_end=inf", "t_final=inf", "sound_speed=inf", "radius=inf"])
+def test_gen_data_non_finite_scenario_value_creates_no_out(tmp_path, line, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"label=custom\nn_x={N}\nn_s={N_S}\nn_t={N_T}\n{line}\n")
+    out = tmp_path / "set"
+    assert main(["gen-data", "--scenario", str(cfg), "--out", str(out), "--count", "1"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -513,11 +539,12 @@ def test_train_touches_out_only_once_training_starts(tmp_path, train_dir):
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
-def _assert_heldout_rejected(tmp_path, train_dir, scenario, rate, capsys):
-    """A train run with a held-out set made under ``scenario`` exits 2,
-    naming that set, before epoch 0's checkpoint clears --out."""
+def _assert_heldout_rejected(tmp_path, train_dir, scenario, rate, capsys, arc=None):
+    """A train run with a held-out set made under ``scenario`` (on the
+    detector ``arc`` of a custom one) exits 2, naming that set, before
+    epoch 0's checkpoint clears --out; returns the error text."""
     cfg = tmp_path / "heldout.cfg"
-    fileio.save_scenario_cfg(cfg, scenario)
+    fileio.save_scenario_cfg(cfg, scenario, arc=arc)
     heldout = tmp_path / "heldout"
     assert main(["gen-data", "--scenario", str(cfg), "--out", str(heldout), "--count", "1", "--split", "test"]) == 0
     run = tmp_path / "run"
@@ -526,8 +553,10 @@ def _assert_heldout_rejected(tmp_path, train_dir, scenario, rate, capsys):
     capsys.readouterr()
     argv = ["train", "--data", str(train_dir), "--heldout", str(heldout), "--out", str(run), "--epochs", "2"]
     assert main(argv + rate) == 2
-    assert f"does not match dataset {heldout}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"does not match dataset {heldout}" in err
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+    return err
 
 
 @pytest.mark.parametrize("rate", [["--lr", "1e-4"], []], ids=["given-rate", "prescan"])
@@ -542,6 +571,13 @@ def test_train_heldout_of_another_scenario_exits_2_and_leaves_out_untouched(tmp_
     # the same data shapes but another geometry would score a different
     # problem; another image grid would fail mid-run
     _assert_heldout_rejected(tmp_path, train_dir, make_scenario(label, n=n, n_s=N_S, n_t=N_T), [], capsys)
+
+
+def test_train_heldout_on_another_arc_exits_2_and_leaves_out_untouched(tmp_path, arc_dir, capsys):
+    # same label and shapes, another detector layout
+    other = make_scenario("custom", n=N, n_s=N_S, n_t=N_T, arc=OTHER_ARC)
+    err = _assert_heldout_rejected(tmp_path, arc_dir, other, [], capsys, arc=OTHER_ARC)
+    assert err.rstrip().endswith("in detectors")
 
 
 @pytest.mark.parametrize("verb", ["train", "reconstruct"])
@@ -815,6 +851,17 @@ def test_evaluate_scenario_mismatch(tmp_path, train_dir):
     rc = main(["evaluate", "--data", str(train_dir), "--scenario", str(other_cfg),
                "--out", str(tmp_path / "report.csv")])
     assert rc == 2
+
+
+def test_evaluate_scenario_of_another_arc_exits_2_and_leaves_out_untouched(tmp_path, arc_dir, capsys):
+    other_cfg = tmp_path / "other.cfg"
+    fileio.save_scenario_cfg(other_cfg, make_scenario("custom", n=N, n_s=N_S, n_t=N_T, arc=OTHER_ARC), arc=OTHER_ARC)
+    report = tmp_path / "report.csv"
+    report.write_text("earlier report\n")
+    rc = main(["evaluate", "--data", str(arc_dir), "--scenario", str(other_cfg), "--out", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err.rstrip().endswith("in detectors")
+    assert report.read_text() == "earlier report\n"
 
 
 def test_evaluate_missing_dataset_is_io_error(tmp_path):

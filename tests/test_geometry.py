@@ -39,8 +39,9 @@ class TestImageGrid:
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError):
             ImageGrid(n=1)
-        with pytest.raises(ConfigError):
-            ImageGrid(n=8, extent=0.0)
+        for extent in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                ImageGrid(n=8, extent=extent)
 
     def test_spacing(self):
         assert ImageGrid(n=10, extent=1.0).spacing == pytest.approx(0.2)
@@ -62,8 +63,9 @@ class TestTimeGrid:
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError):
             TimeGrid(n_t=1, t_final=1.0)
-        with pytest.raises(ConfigError):
-            TimeGrid(n_t=10, t_final=0.0)
+        for t_final in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                TimeGrid(n_t=10, t_final=t_final)
 
 
 class TestMakeDetectors:
@@ -102,8 +104,11 @@ class TestMakeDetectors:
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError):
             make_detectors("B_sparse", 0, 1.0)
+        for radius in (-1.0, math.inf):
+            with pytest.raises(ConfigError):
+                make_detectors("B_sparse", 10, radius)
         with pytest.raises(ConfigError):
-            make_detectors("B_sparse", 10, -1.0)
+            make_detectors("custom", 10, 1.0, 0.5, math.inf)
         with pytest.raises(ConfigError):
             make_detectors("no_such_label", 10, 1.0)
 
@@ -176,19 +181,28 @@ class TestScenario:
         grid = ImageGrid(n=16)
         time = TimeGrid(n_t=10, t_final=3.0)
         det = make_detectors("B_sparse", 8, 1.0)
-        with pytest.raises(ConfigError):
-            Scenario(grid=grid, detectors=det, time=time, sound_speed=0.0, label="B_sparse")
+        for sound_speed in (0.0, math.inf):
+            with pytest.raises(ConfigError):
+                Scenario(grid=grid, detectors=det, time=time, sound_speed=sound_speed, label="B_sparse")
 
-    def test_signature_tells_scenarios_apart(self):
+    def test_equality_tells_scenarios_apart(self):
         base = make_scenario("B_sparse", n=16, n_s=4, n_t=30)
-        assert base.signature == make_scenario("B_sparse", n=16, n_s=4, n_t=30).signature
-        assert base.signature[0] == "B_sparse"
+        assert base == make_scenario("B_sparse", n=16, n_s=4, n_t=30)
         for other in (
             make_scenario("B_sparse", n=16, n_s=5, n_t=30),
             make_scenario("B_sparse", n=16, n_s=4, n_t=31),
             make_scenario("B_sparse", n=16, n_s=4, n_t=30, directivity_enabled=False),
         ):
-            assert other.signature != base.signature
+            assert other != base
+
+    # (0.5, 2.5) has the span, and so the arc weight, of (1.0, 3.0)
+    @pytest.mark.parametrize("arc", [(0.3, 2.1), (0.5, 2.5)])
+    def test_custom_arcs_of_one_detector_count_differ(self, arc):
+        a = make_scenario("custom", n=16, n_s=9, arc=arc)
+        b = make_scenario("custom", n=16, n_s=9, arc=(1.0, 3.0))
+        assert a == make_scenario("custom", n=16, n_s=9, arc=arc)
+        assert a != b
+        assert a.detectors != b.detectors
 
 
 class TestDetectorArrayValidation:
@@ -197,6 +211,15 @@ class TestDetectorArrayValidation:
         normals = pos / np.linalg.norm(pos, axis=1, keepdims=True)
         with pytest.raises(ConfigError):
             DetectorArray(pos, normals, 0.1, 1.0)
+
+    @pytest.mark.parametrize("field", ["positions", "normals"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_arrays(self, field, value):
+        det = make_detectors("B_sparse", 4, 1.0)
+        arrays = {"positions": det.positions.copy(), "normals": det.normals.copy()}
+        arrays[field][1, 0] = value
+        with pytest.raises(ConfigError):
+            DetectorArray(arrays["positions"], arrays["normals"], det.arc_weight, det.radius)
 
     def test_arrays_are_readonly(self):
         det = make_detectors("B_sparse", 4, 1.0)

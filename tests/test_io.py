@@ -343,7 +343,7 @@ class TestScenarioCfg:
         path.write_text(f"label={label}\n")
         loaded, _ = load_scenario_cfg(path)
         expected = make_scenario(label)
-        assert loaded.signature == expected.signature
+        assert loaded == expected
         assert loaded.detectors.positions.tobytes() == expected.detectors.positions.tobytes()
         assert loaded.detectors.normals.tobytes() == expected.detectors.normals.tobytes()
 

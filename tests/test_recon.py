@@ -261,6 +261,16 @@ class TestBackprojection:
         with pytest.raises(ShapeMismatchError):
             op.standard(data)
 
+    def test_data_of_another_layout_with_the_same_shape_rejected(self):
+        sc = _scenario(n_s=4)
+        op = BackprojectionOperator.from_scenario(sc)
+        # the same layout turned by 0.25 rad: every scalar field is equal
+        other = make_detectors("custom", 4, 1.0, 0.25, 0.25 + 2 * math.pi)
+        assert (other.arc_weight, other.radius) == (sc.detectors.arc_weight, sc.detectors.radius)
+        data = SensorData(np.zeros((sc.time.n_t, 4)), sc.time, other)
+        with pytest.raises(ShapeMismatchError, match="data detectors do not match"):
+            op.standard(data)
+
     def test_weight_shape_mismatch_rejected(self):
         sc = _scenario(n_s=4)
         op = BackprojectionOperator.from_scenario(sc)
