@@ -24,8 +24,8 @@ from .geometry import (
     make_detectors,
     make_scenario,
 )
-from .metrics import EvalReport, diff_image, evaluate, rel_error
-from .phantoms import Image, PhantomParams, elastic_deform, generate_phantom, rasterize_ellipses
+from .metrics import EvalReport, evaluate, rel_error
+from .phantoms import Image, PhantomParams, generate_phantom, rasterize_ellipses
 from .recon import BackprojectionOperator, ContribTensor, WeightTensor, time_filter
 from .training import TrainConfig, TrainState, grad, loss, sgd_train
 
@@ -52,8 +52,6 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "WeightTensor",
-    "diff_image",
-    "elastic_deform",
     "evaluate",
     "generate_phantom",
     "grad",

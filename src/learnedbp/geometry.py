@@ -74,18 +74,6 @@ class ImageGrid:
         out[:, :, 1] = y[:, None]
         return out
 
-    def center_of(self, i: int, j: int) -> tuple[float, float]:
-        h = self.spacing
-        return (-self.extent + (j + 0.5) * h, self.extent - (i + 0.5) * h)
-
-    def nearest_index(self, point) -> tuple[int, int]:
-        """Row/column of the pixel whose center is closest to ``point``."""
-        x, y = float(point[0]), float(point[1])
-        h = self.spacing
-        i = int(np.clip(round((self.extent - y) / h - 0.5), 0, self.n - 1))
-        j = int(np.clip(round((x + self.extent) / h - 0.5), 0, self.n - 1))
-        return i, j
-
 
 @dataclass(frozen=True)
 class TimeGrid:

@@ -29,13 +29,6 @@ def rel_error(f_hat: Image, f: Image, squared: bool = False) -> float:
     return ratio**2 if squared else ratio
 
 
-def diff_image(f_hat: Image, f: Image) -> Image:
-    """Per-pixel absolute difference |f_hat - f|."""
-    if f_hat.grid != f.grid:
-        raise ShapeMismatchError("images live on different grids")
-    return Image(f.grid, np.abs(f_hat.values - f.values))
-
-
 @dataclass
 class EvalReport:
     """Per-method relative errors of one test set."""

@@ -174,6 +174,8 @@ def generate_phantom(params: PhantomParams, grid: ImageGrid) -> Image:
 
 
 def _deform_values(values: np.ndarray, seed: int, alpha: float, sigma: float) -> np.ndarray:
+    """Warp ``values`` by a uniform random displacement field blurred with a Gaussian of
+    ``sigma`` pixels and scaled to at most ``alpha`` pixels; bilinear, zero outside."""
     if alpha == 0.0:
         return values.copy()
     rng = np.random.default_rng(seed)
@@ -187,19 +189,4 @@ def _deform_values(values: np.ndarray, seed: int, alpha: float, sigma: float) ->
     rows, cols = np.mgrid[0:n, 0:n].astype(np.float64)
     coords = np.stack([rows + disp[0], cols + disp[1]])
     return ndimage.map_coordinates(values, coords, order=1, mode="constant", cval=0.0)
-
-
-def elastic_deform(img: Image, seed: int, alpha: float, sigma: float) -> Image:
-    """Warp ``img`` by a smooth random displacement field.
-
-    A per-pixel uniform random field is blurred with a Gaussian of width
-    ``sigma`` pixels and rescaled so its largest displacement is ``alpha``
-    pixels, then the image is resampled with bilinear interpolation (zero
-    outside the domain).  ``alpha = 0`` returns the image unchanged.
-    """
-    if alpha < 0:
-        raise ConfigError("alpha must be nonnegative")
-    if not sigma > 0:
-        raise ConfigError("sigma must be positive")
-    return Image(img.grid, _deform_values(img.values, seed, alpha, sigma))
 

@@ -20,7 +20,7 @@ block's b from that.  In table mode b(p, j) = geom (1 - frac) t[idx, j]
 + geom frac t[idx + 1, j] is a fixed linear map with two nonzeros per
 (pixel, detector), kept as one CSR matrix per block (rows p * n_s + j;
 the blocks share one row pointer), so a gather is one sparse product;
-exact mode keeps geom and the distances and evaluates the quadrature at
+exact mode makes geom and the distances per gather for the quadrature at
 each.  The operator's blocks of BLOCK_VALUES (pixel, detector) values
 serve contrib, apply, standard and training alike.  apply and standard
 reduce each block as it is made, never holding the
@@ -32,7 +32,8 @@ transposed views of pixel-major blocks, training detector-major blocks.
 The build runs in the same blocks and peaks a few MB above what it
 keeps.  Traced with tracemalloc, table mode keeps 35.3 MiB at 256^2 with
 20 detectors (the quadrature table included) and peaks at 40.7 MiB, and
-keeps 155.3 MiB with 100 detectors, peaking at 161.9 MiB.  Before
+keeps 155.3 MiB with 100 detectors, peaking at 161.9 MiB; exact mode
+keeps only the pixel centers, 1.0 MiB, peaking at 5.0 MiB.  Before
 allocating, the build compares its footprint (operator_bytes) with the
 memory available to the process and raises ConfigError when it does
 not fit.
@@ -59,7 +60,7 @@ TABLE_NODES_PER_DT = 4
 BLOCK_VALUES = 102_400
 # float64 arrays of one block counted for the temporaries of an operator
 # build: at 256^2 its traced peak exceeded the kept arrays, the table and the
-# pixel centers by 7.4, 6.7 and 6.1 of them (table mode at 20 and 100
+# pixel centers by 7.4, 6.7 and 5.1 of them (table mode at 20 and 100
 # detectors, exact mode at 20)
 BUILD_TEMPORARIES = 10
 
@@ -169,17 +170,24 @@ def pixel_blocks(n_px: int, n_s: int) -> list:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def gather_bytes(block: int, n_s: int, n_t: int, exact: bool) -> int:
+    """Bytes one gather of ``block`` pixels allocates: the float64 b and, in exact
+    mode, six float64 values per (pixel, detector) for its geometry (traced, it
+    peaks at 41 B) and one detector's (block, n_t) quadrature matrix at a time."""
+    return 8 * block * (n_s + (6 * n_s + n_t if exact else 0))
+
+
 def operator_bytes(n_px: int, n_s: int, n_t: int, exact: bool) -> int:
-    """Footprint of a BackprojectionOperator build: what it keeps per
-    (pixel, detector), geom and dist (16 B) or a gather matrix row (two
-    float64 values and two int32 indices, 24 B), in table mode the blocks'
-    one shared row pointer and the quadrature table, in exact mode a
-    gather's (block, n_t) quadrature matrix, the pixel centers, and one
-    pixel block of temporaries."""
+    """Footprint of a BackprojectionOperator build: in table mode what it
+    keeps, a gather matrix row per (pixel, detector) (two float64 values
+    and two int32 indices, 24 B), the blocks' one shared row pointer and
+    the quadrature table; in exact mode, which keeps nothing per (pixel,
+    detector), one gather of the largest block (gather_bytes); in both the
+    pixel centers and one pixel block of temporaries."""
     largest = max(span.stop - span.start for span in pixel_blocks(n_px, n_s))
-    kept = n_px * n_s * (16 if exact else 24)
-    table = largest * n_t * 8 if exact else (TABLE_NODES_PER_DT * n_t + 1) * n_t * 8 + (largest * n_s + 1) * 4
-    return kept + table + n_px * 16 + BUILD_TEMPORARIES * largest * n_s * 8
+    table = (TABLE_NODES_PER_DT * n_t + 1) * n_t * 8 + (largest * n_s + 1) * 4
+    own = gather_bytes(largest, n_s, n_t, exact) if exact else n_px * n_s * 24 + table
+    return own + n_px * 16 + BUILD_TEMPORARIES * largest * n_s * 8
 
 
 class BackprojectionOperator:
@@ -201,8 +209,8 @@ class BackprojectionOperator:
         sound_speed: float = 1.0,
         exact: bool = False,
     ):
-        if sound_speed <= 0:
-            raise ConfigError("sound speed must be positive")
+        if not 0 < sound_speed < np.inf:
+            raise ConfigError(f"sound speed must be positive and finite, got {sound_speed}")
         self.grid = grid
         self.detectors = detectors
         self.time = time
@@ -217,13 +225,12 @@ class BackprojectionOperator:
             available_memory(),
         )
         self.blocks = pixel_blocks(n_px, n_s)
-        tau_max = sound_speed * time.samples()[-1]
         pixels = grid.pixel_centers().reshape(-1, 2)
         if exact:
-            # the kept arrays first, then their rows filled block by block
-            self.geom, self.dist = np.empty((2, n_px, n_s))
+            # each gather makes its block's geometry; this pass only checks it
             for span in self.blocks:
-                self.geom[span], self.dist[span] = self._block_geometry(pixels[span], tau_max)
+                self._block_geometry(pixels[span])
+            self._pixels = pixels
             return
         n_d = TABLE_NODES_PER_DT * time.n_t
         step = sound_speed * time.t_final / n_d
@@ -233,10 +240,10 @@ class BackprojectionOperator:
         indptr = np.arange(0, 2 * max(span.stop - span.start for span in self.blocks) * n_s + 1, 2, dtype=np.int32)
         indptr.flags.writeable = False
         self._gather_matrices = [
-            self._gather_matrix(*self._block_geometry(pixels[span], tau_max), step, n_d, indptr) for span in self.blocks
+            self._gather_matrix(*self._block_geometry(pixels[span]), step, n_d, indptr) for span in self.blocks
         ]
 
-    def _block_geometry(self, pixels: np.ndarray, tau_max: float):
+    def _block_geometry(self, pixels: np.ndarray):
         """The geometric factor and the distances of ``pixels``, (pixels, n_s) each."""
         detectors = self.detectors
         diff = pixels[:, None, :] - detectors.positions[None, :, :]
@@ -249,7 +256,7 @@ class BackprojectionOperator:
         # against a high-precision radial quadrature oracle)
         geom = (1.0 / np.pi) * outward_dot * detectors.arc_weight
         # causality: contributions vanish once the distance exceeds the window
-        geom[dist >= tau_max] = 0.0
+        geom[dist >= self.sound_speed * self.time.samples()[-1]] = 0.0
         return geom, dist
 
     def _gather_matrix(self, geom: np.ndarray, dist: np.ndarray, step: float, n_d: int, indptr: np.ndarray):
@@ -295,17 +302,21 @@ class BackprojectionOperator:
         b, read from one sample's :meth:`tabulate` output."""
         if not self.exact:
             return (self._gather_matrices[k] @ table.ravel()).reshape(-1, self.detectors.n_s)
-        span = self.blocks[k]
-        b = np.empty_like(self.dist[span])
+        geom, dist = self._block_geometry(self._pixels[self.blocks[k]])
+        b = np.empty_like(dist)
         for j in range(self.detectors.n_s):
             # a row-wise sum, not BLAS gemv, whose last bits depend
             # on the row count and the thread split
-            a_mat = integral_weights(self.dist[span, j], self.time, self.sound_speed)
+            a_mat = integral_weights(dist[:, j], self.time, self.sound_speed)
             a_mat *= table[:, j]
             b[:, j] = a_mat.sum(axis=1)
             del a_mat  # freed before the next detector's (block, n_t) matrix is made
-        b *= self.geom[span]
+        b *= geom
         return b
+
+    def gather_bytes(self) -> int:
+        """:func:`gather_bytes` of the largest block: what one :meth:`gather` allocates."""
+        return gather_bytes(max(s.stop - s.start for s in self.blocks), self.detectors.n_s, self.time.n_t, self.exact)
 
     def gather_image(self, table: np.ndarray) -> np.ndarray:
         """The whole flattened (n^2, n_s) contributions b, block by block."""
@@ -320,31 +331,22 @@ class BackprojectionOperator:
 
     def apply(self, weights: WeightTensor, data: SensorData) -> Image:
         """sum_j W^2 b for one data matrix, reduced block by block."""
-        (image,) = self._reduce_blocks(data, self._weighted(weights))
-        return image
+        return self._reduce_blocks(data, weights)[0]
 
     def standard_and_apply(self, weights: WeightTensor, data: SensorData) -> tuple[Image, Image]:
         """:meth:`standard` and :meth:`apply`, bitwise, from one gather of
         each pixel block."""
-        return self._reduce_blocks(data, self._unweighted, self._weighted(weights))
+        return self._reduce_blocks(data, None, weights)
 
-    def _weighted(self, weights: WeightTensor):
-        self.check_weights(weights)
-        w = weights.values.reshape(-1, self.detectors.n_s)
-        return lambda span, b: self.apply_values(w[span].T, b.T)
-
-    @staticmethod
-    def _unweighted(span, b):
-        return b.sum(axis=1)
-
-    def _reduce_blocks(self, data: SensorData, *reducers) -> tuple[Image, ...]:
-        """The images of each reduce(span, b) over each block's pixels."""
-        images = np.empty((len(reducers), self.grid.n**2))
+    def _reduce_blocks(self, data: SensorData, *weights) -> tuple[Image, ...]:
+        """One image per weight tensor, sum_j W^2 b, or the plain sum of b for None."""
+        rows = [None if w is None else self.check_weights(w) for w in weights]
+        images = np.empty((len(weights), self.grid.n**2))
         table = self.tabulate(data)
         for k, span in enumerate(self.blocks):
             b = self.gather(table, k)
-            for image, reduce in zip(images, reducers):
-                image[span] = reduce(span, b)
+            for image, w in zip(images, rows):
+                image[span] = b.sum(axis=1) if w is None else self.apply_values(w[span].T, b.T)
             # weights are finite, so a non-finite b always makes its pixel's
             # sums non-finite; b itself is looked at only then
             if not np.all(np.isfinite(images[:, span])) and not np.all(np.isfinite(b)):
@@ -369,12 +371,14 @@ class BackprojectionOperator:
         prod *= b_values
         return prod.sum(axis=0)
 
-    def check_weights(self, weights: WeightTensor):
+    def check_weights(self, weights: WeightTensor) -> np.ndarray:
+        """The weights' (n^2, n_s) pixel rows, once they match the operator."""
         if weights.grid != self.grid or weights.n_s != self.detectors.n_s:
             raise ShapeMismatchError(
                 f"weights ({weights.grid.n}, {weights.grid.n}, {weights.n_s}) do not match operator "
                 f"({self.grid.n}, {self.grid.n}, {self.detectors.n_s})"
             )
+        return weights.values.reshape(-1, self.detectors.n_s)
 
     def apply_to_contrib(self, weights: WeightTensor, b: ContribTensor) -> Image:
         self.check_weights(weights)
@@ -383,6 +387,5 @@ class BackprojectionOperator:
     def standard(self, data: SensorData) -> Image:
         """Unweighted backprojection (the W = 1 special case, summed directly),
         reduced block by block; bitwise ContribTensor.sum_image."""
-        (image,) = self._reduce_blocks(data, self._unweighted)
-        return image
+        return self._reduce_blocks(data, None)[0]
 

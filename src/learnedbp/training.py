@@ -358,21 +358,18 @@ def training_bytes(op: BackprojectionOperator, cfg: TrainConfig, n_train: int, n
     gradient), and the larger of the pre-scan's arrays (every probe's b of
     every block and a copy of the parameters) and the epochs' (every
     sample's b of one block and the checkpoint slots); in float64, the
-    weight tensor and the b of the largest gather, one operator block's
-    product (in exact mode also its (block, n_t) quadrature matrix) and,
-    with a weight grid, the whole image it is written into."""
+    weight tensor and, with a weight grid, the whole image's b; and what
+    the largest gather allocates (op.gather_bytes)."""
     n_px, n_s, n_samples = op.grid.n**2, op.detectors.n_s, n_train + n_heldout
-    op_block = max(span.stop - span.start for span in op.blocks)
-    block = op_block if cfg.weight_grid is None else n_px
+    block = max(span.stop - span.start for span in op.blocks) if cfg.weight_grid is None else n_px
     params = (op.grid.n if cfg.weight_grid is None else cfg.weight_grid) ** 2 * n_s
     probes = min(PROBE_SAMPLES, n_train) if cfg.learning_rate is None else 0
     every = cfg.checkpoint_every or cfg.epochs or 1
     slots = len(range(every, cfg.epochs, every))
     held = n_samples * n_px + params + 3 * block * n_s
     phase = max(probes * n_px * n_s + params, n_samples * block * n_s + slots * params)
-    wide = (n_px + op_block + (0 if cfg.weight_grid is None else n_px)) * n_s
-    wide += op_block * op.time.n_t if op.exact else 0
-    return n_samples * op.table_bytes() + (held + phase) * np.dtype(DTYPE).itemsize + wide * 8
+    wide = (1 if cfg.weight_grid is None else 2) * n_px * n_s * 8
+    return n_samples * op.table_bytes() + (held + phase) * np.dtype(DTYPE).itemsize + wide + op.gather_bytes()
 
 
 def sgd_train(

@@ -10,7 +10,6 @@ from learnedbp.metrics import (
     METHOD_UBP,
     METHOD_WEIGHTED,
     EvalReport,
-    diff_image,
     evaluate,
     format_report,
     rel_error,
@@ -87,22 +86,6 @@ class TestRelError:
         other = Image(ImageGrid(n=8, extent=2.0), f.values)
         with pytest.raises(ShapeMismatchError):
             rel_error(f, other)
-
-
-class TestDiffImage:
-    def test_absolute_difference(self):
-        grid = ImageGrid(n=8)
-        rng = np.random.default_rng(4)
-        a = Image(grid, rng.standard_normal((8, 8)))
-        b = Image(grid, rng.standard_normal((8, 8)))
-        d = diff_image(a, b)
-        assert np.array_equal(d.values, np.abs(a.values - b.values))
-
-    def test_grid_mismatch_rejected(self):
-        a = Image(ImageGrid(n=8), np.zeros((8, 8)))
-        b = Image(ImageGrid(n=16), np.zeros((16, 16)))
-        with pytest.raises(ShapeMismatchError):
-            diff_image(a, b)
 
 
 class TestEvaluate:

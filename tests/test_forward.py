@@ -48,7 +48,8 @@ class TestCircularMean:
         grid = ImageGrid(n=16)
         values = np.arange(256, dtype=np.float64).reshape(16, 16)
         img = Image(grid, values)
-        x, y = grid.center_of(5, 7)
+        h = 2.0 * grid.extent / grid.n  # pixel (5, 7)'s center, as ImageGrid's docstring defines it
+        x, y = -grid.extent + 7.5 * h, grid.extent - 5.5 * h
         assert circular_mean(img, (x, y), 0.0) == pytest.approx(values[5, 7])
 
     def test_directional_mean_of_constant_is_quarter(self):

@@ -30,12 +30,6 @@ class TestImageGrid:
         centers = grid.pixel_centers()
         assert np.all(np.abs(centers) < grid.extent)
 
-    def test_index_center_roundtrip(self):
-        grid = ImageGrid(n=9, extent=1.0)
-        for i in (0, 3, 8):
-            for j in (0, 5, 8):
-                assert grid.nearest_index(grid.center_of(i, j)) == (i, j)
-
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError):
             ImageGrid(n=1)

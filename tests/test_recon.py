@@ -253,6 +253,14 @@ class TestBackprojection:
         with pytest.raises(ConfigError):
             BackprojectionOperator(grid, det, TimeGrid(n_t=20, t_final=3.0))
 
+    def test_bad_sound_speed_rejected(self):
+        # a NaN speed built and then failed every call, an infinite one
+        # reconstructed every image as 0
+        sc = _scenario(n=16, n_s=4, n_t=40)
+        for sound_speed in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="sound speed must be positive and finite"):
+                BackprojectionOperator(sc.grid, sc.detectors, sc.time, sound_speed)
+
     def test_data_shape_mismatch_rejected(self):
         sc = _scenario(n_s=4)
         op = BackprojectionOperator.from_scenario(sc)
@@ -300,7 +308,9 @@ class TestBackprojection:
         largest = max(span.stop - span.start for span in table.blocks) * sc.detectors.n_s
         assert _kept_bytes(table) == 24 * rows + 4 * (largest + 1) + table._table_matrix.nbytes
         exact = BackprojectionOperator.from_scenario(sc, exact=True)
-        assert exact.dist.shape == (sc.grid.n**2, sc.detectors.n_s)
+        assert not {"geom", "dist"} & set(vars(exact))
+        kept = [v for v in vars(exact).values() if isinstance(v, np.ndarray)]
+        assert kept and all(v.size != rows for v in kept)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_overflowing_data_is_rejected(self, exact):
@@ -392,13 +402,16 @@ class TestPixelBlocks:
     def test_paper_scale_footprints_are_those_of_1024_pixel_blocks(self):
         # A/256 with 100 detectors, 150 + 30 samples, n_t = 400: the
         # footprints of the fixed 1024-pixel blocks the budget of values
-        # replaced, with exact mode's gather transient of 3.3 MB; training
-        # holds the probes' b (131 MB) or, per checkpoint epoch before the
-        # last, a 26 MB slot
+        # replaced; exact mode keeps nothing per (pixel, detector) and counts
+        # one gather, 9.0 MB with its geometry and its (1024, n_t) quadrature
+        # matrix; training holds the probes' b (131 MB) or, per checkpoint
+        # epoch before the last, a 26 MB slot
         assert recon.operator_bytes(256 * 256, 100, 400, exact=False) == 172_059_780
-        assert recon.operator_bytes(256 * 256, 100, 400, exact=True) == 117_374_976
-        op = SimpleNamespace(grid=SimpleNamespace(n=256), detectors=SimpleNamespace(n_s=100), exact=False,
+        assert recon.gather_bytes(1024, 100, 400, exact=True) == 9_011_200
+        assert recon.operator_bytes(256 * 256, 100, 400, exact=True) == 18_251_776
+        op = SimpleNamespace(grid=SimpleNamespace(n=256), detectors=SimpleNamespace(n_s=100),
                              blocks=recon.pixel_blocks(256 * 256, 100),
+                             gather_bytes=lambda: recon.gather_bytes(1024, 100, 400, exact=False),
                              table_bytes=lambda: (recon.TABLE_NODES_PER_DT * 400 + 1) * 100 * 8)
         assert training.training_bytes(op, training.TrainConfig(), 150, 30) == 515_707_520
         assert training.training_bytes(op, training.TrainConfig(checkpoint_every=1), 150, 30) == 3_027_374_720
@@ -499,8 +512,9 @@ class TestPixelBlocks:
 
 
 def _whole_image_build(grid, detectors, time, sound_speed, exact):
-    """The operator's geometry arrays built over the whole image at once,
-    as the operator did before it built them block by block."""
+    """The geometry arrays built over the whole image at once, as the
+    operator did before it built them block by block; exact mode's gathers
+    now make them per block."""
     pixels = grid.pixel_centers().reshape(-1, 2)
     diff = pixels[:, None, :] - detectors.positions[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
@@ -548,10 +562,16 @@ class TestBlockedBuild:
                 assert np.array_equal(matrix.indices, columns[span].ravel())
                 assert np.array_equal(_bits(matrix.data), _bits(values[span].ravel()))
             return
-        assert set(held) == set(expected)
-        for name, values in expected.items():
-            assert held[name].dtype == values.dtype
-            assert np.array_equal(held[name].view(np.int64), values.view(np.int64)), name
+        # each gather makes its block's geometry: b as the whole-image
+        # arrays give it, one row-wise quadrature sum per detector
+        assert set(held) == {"_pixels"}
+        q = op.tabulate(_smooth_data(sc, seed=23))
+        b = np.empty_like(expected["dist"])
+        for j in range(5):
+            b[:, j] = (integral_weights(expected["dist"][:, j], sc.time, 1.25) * q[:, j]).sum(axis=1)
+        b *= expected["geom"]
+        for k, span in enumerate(op.blocks):
+            assert np.array_equal(_bits(op.gather(q, k)), _bits(b[span])), k
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_detector_on_a_pixel_of_the_last_block_rejected(self, monkeypatch, exact):
@@ -582,6 +602,19 @@ class TestBlockedBuild:
         kept = _kept_bytes(op)
         assert peak - kept < n * n * n_s * 8
         assert peak <= recon.operator_bytes(n * n, n_s, n_t, exact)
+
+    def test_exact_build_keeps_only_the_pixel_centers(self):
+        # the whole-image geom and dist it kept before were 20.0 MiB here
+        n, n_s = 256, 20
+        sc = make_scenario("B_sparse", n=n, n_s=n_s, n_t=400)
+        tracemalloc.start()
+        try:
+            op = BackprojectionOperator.from_scenario(sc, exact=True)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= n * n * 16 + 64_000
+        assert not {"geom", "dist"} & set(vars(op))
 
     def test_exact_gather_peaks_within_the_footprint(self):
         # a gather of the largest block makes a (5120, n_t) quadrature matrix

@@ -824,8 +824,8 @@ class TestMemoryCheck:
         assert peak <= need < 2 * peak
 
     def test_exact_mode_footprint_bounds_the_traced_peak(self, desk_problem):
-        # each exact gather makes a (4096, n_t) quadrature matrix per
-        # detector, 1.3 MB, beside the b it returns
+        # each exact gather makes its block's geometry and a (4096, n_t)
+        # quadrature matrix per detector, 1.3 MB, beside the b it returns
         sc, _, train, heldout = desk_problem
         op = BackprojectionOperator.from_scenario(sc, exact=True)
         cfg = TrainConfig(epochs=2, checkpoint_every=1)
