@@ -193,10 +193,10 @@ def operator_bytes(n_px: int, n_s: int, n_t: int, exact: bool) -> int:
 class BackprojectionOperator:
     """Backprojection machinery precomputed for one acquisition geometry.
 
-    Everything that does not depend on the measured data (the geometric
-    factor (1/pi) <nu, x-s> ds, the singular integral quadrature matrix
-    and the table lookups) is built once here, so training loops and batch
-    evaluations pay only two small matrix products per sample.
+    In table mode everything that does not depend on the measured data (the
+    geometric factor (1/pi) <nu, x-s> ds, the singular integral quadrature
+    matrix and the table lookups) is built once here, so training loops and
+    batch evaluations pay only two small matrix products per sample.
     Contributions come from :meth:`tabulate`, once per sample, and
     :meth:`gather`, once per pixel block of :attr:`blocks`, in both modes.
     """

@@ -9,9 +9,9 @@ from learnedbp.phantoms import (
     PhantomParams,
     generate_phantom,
     rasterize_ellipses,
+    _deform_values,
     support_mask,
 )
-from learnedbp.phantoms import _deform_values
 from stencil_oracle import sample_bilinear_values
 
 # Frozen copy of the modified Shepp-Logan table, kept independent of the

@@ -254,8 +254,8 @@ class TestBackprojection:
             BackprojectionOperator(grid, det, TimeGrid(n_t=20, t_final=3.0))
 
     def test_bad_sound_speed_rejected(self):
-        # a NaN speed built and then failed every call, an infinite one
-        # reconstructed every image as 0
+        # a NaN speed would fail every call after the build, an infinite
+        # one would reconstruct every image as 0
         sc = _scenario(n=16, n_s=4, n_t=40)
         for sound_speed in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ConfigError, match="sound speed must be positive and finite"):
@@ -512,9 +512,8 @@ class TestPixelBlocks:
 
 
 def _whole_image_build(grid, detectors, time, sound_speed, exact):
-    """The geometry arrays built over the whole image at once, as the
-    operator did before it built them block by block; exact mode's gathers
-    now make them per block."""
+    """The geometry arrays built over the whole image at once: the oracle
+    of the blocked table build and of exact mode's per-gather geometry."""
     pixels = grid.pixel_centers().reshape(-1, 2)
     diff = pixels[:, None, :] - detectors.positions[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
@@ -604,7 +603,7 @@ class TestBlockedBuild:
         assert peak <= recon.operator_bytes(n * n, n_s, n_t, exact)
 
     def test_exact_build_keeps_only_the_pixel_centers(self):
-        # the whole-image geom and dist it kept before were 20.0 MiB here
+        # whole-image geom and dist arrays would be 20.0 MiB here
         n, n_s = 256, 20
         sc = make_scenario("B_sparse", n=n, n_s=n_s, n_t=400)
         tracemalloc.start()
