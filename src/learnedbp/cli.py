@@ -21,7 +21,7 @@ import scipy
 from . import __version__, fileio, metrics, training
 from .errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
 from .forward import DEFAULT_N_R_PER_DT, GEN_CHUNK, ForwardOperator, SensorData
-from .phantoms import Image, PhantomParams, generate_phantom
+from .phantoms import PhantomParams, generate_phantom
 from .recon import BackprojectionOperator, WeightTensor
 
 EXIT_OK = 0
@@ -88,8 +88,9 @@ def _file_hashes(root: Path, names) -> dict:
 
 def cmd_gen_data(args) -> int:
     scenario, base_seed = _resolve_scenario(args)
-    # the operator validates its arguments before --out is created
+    # the operator's arguments and the base seed are validated before --out is created
     op = ForwardOperator(scenario, n_angles=args.n_angles, n_r_per_dt=args.n_r_per_dt)
+    PhantomParams(seed=base_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stems = [fileio.Dataset.stem(i) for i in range(args.count)]

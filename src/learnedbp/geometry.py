@@ -207,17 +207,10 @@ class Scenario:
     def __post_init__(self):
         if not 0 < self.sound_speed < math.inf:
             raise ConfigError(f"sound speed must be positive and finite, got {self.sound_speed}")
-        if self.label not in SCENARIO_LABELS:
-            raise ConfigError(f"unknown scenario label {self.label!r}")
-        pos = self.detectors.positions
-        if self.label in ("A_limited_view", "C_limited_sparse"):
-            if np.any(pos[:, 0] > 1e-9 * self.detectors.radius):
-                raise ConfigError(f"label {self.label} requires detectors on the left half circle")
-        elif self.label == "B_sparse":
-            angles = np.sort(np.mod(np.arctan2(pos[:, 1], pos[:, 0]), 2.0 * math.pi))
-            gaps = np.diff(np.concatenate([angles, angles[:1] + 2.0 * math.pi]))
-            if np.any(np.abs(gaps - 2.0 * math.pi / len(angles)) > 1e-9):
-                raise ConfigError("label B_sparse requires equidistant detectors on the full circle")
+        # a canonical label means make_detectors' layout exactly; it rejects unknown labels
+        det = self.detectors
+        if self.label != "custom" and det != make_detectors(self.label, det.n_s, det.radius):
+            raise ConfigError(f"label {self.label} requires make_detectors' layout of {det.n_s} detectors")
 
 
 # default detector counts for the three canonical arrangements; custom arcs get 100

@@ -1,11 +1,14 @@
 """Randomized Shepp-Logan style source images.
 
-Training and test sources are variations of the classic head phantom:
-ellipse centers and amplitudes are jittered, the whole layout is rotated
-by a random angle, a handful of small high-contrast ellipses is added,
-and the result is warped by a smooth random elastic deformation.  All
-randomness is drawn from a single seeded generator, so a phantom is a
-pure function of (params, grid).
+Training and test sources are variations of the classic head phantom: each
+table amplitude is scaled by a factor drawn from AMP_RANGE and each center
+shifted by up to POS_JITTER of the extent per axis, the layout is rotated by
+an angle drawn from ROT_RANGE, min(3, N_FINE) to N_FINE small high-contrast
+ellipses are added, and the result is warped by a smooth random elastic
+deformation of at most ELASTIC_ALPHA pixels, smoothed over ELASTIC_SIGMA
+pixels (both at n = 256, scaled with the grid).  All randomness is drawn
+from one generator seeded by PhantomParams.seed, so a phantom is a function
+of the seed and the grid alone.
 """
 
 from __future__ import annotations
@@ -38,6 +41,13 @@ SHEPP_LOGAN = np.array(
 # fraction of the extent outside which generated phantoms are forced to zero
 SUPPORT_RADIUS_FRACTION = 0.9
 
+AMP_RANGE = (0.7, 1.3)
+POS_JITTER = 0.05
+ROT_RANGE = (0.0, 2.0 * np.pi)
+N_FINE = 8
+ELASTIC_ALPHA = 3.0
+ELASTIC_SIGMA = 8.0
+
 _MIN_PHANTOM_N = 16
 
 
@@ -59,41 +69,13 @@ class Image:
 
 @dataclass(frozen=True)
 class PhantomParams:
-    """Controls for the randomized phantom generator.
-
-    ``amp_range`` multiplies each base ellipse amplitude, ``pos_jitter``
-    shifts each center by up to that fraction of the extent per axis, and
-    ``rot_range`` bounds the global rotation angle (radians).  ``n_fine``
-    caps the number of added small ellipses; the actual count is drawn
-    uniformly from [min(3, n_fine), n_fine].  ``elastic_alpha`` (max
-    displacement) and ``elastic_sigma`` (smoothing width) are in pixels;
-    left at None they default to 3 and 8 at n=256, scaled with the grid.
-    """
+    """The seed of one randomized phantom; numpy's generators take none below 0."""
 
     seed: int = 0
-    n_ellipses_base: int = 10
-    n_fine: int = 8
-    amp_range: tuple[float, float] = (0.7, 1.3)
-    pos_jitter: float = 0.05
-    rot_range: tuple[float, float] = (0.0, 2.0 * np.pi)
-    elastic_alpha: float | None = None
-    elastic_sigma: float | None = None
 
     def __post_init__(self):
-        if not 0 <= self.n_ellipses_base <= len(SHEPP_LOGAN):
-            raise ConfigError(f"n_ellipses_base must be in [0, {len(SHEPP_LOGAN)}]")
-        if self.n_fine < 0:
-            raise ConfigError("n_fine must be nonnegative")
-        for name, rng in (("amp_range", self.amp_range), ("rot_range", self.rot_range)):
-            lo, hi = rng
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ConfigError(f"{name} must be a finite (lo, hi) range with lo <= hi")
-        if self.pos_jitter < 0:
-            raise ConfigError("pos_jitter must be nonnegative")
-        if self.elastic_alpha is not None and self.elastic_alpha < 0:
-            raise ConfigError("elastic_alpha must be nonnegative")
-        if self.elastic_sigma is not None and not self.elastic_sigma > 0:
-            raise ConfigError("elastic_sigma must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"phantom seeds must be nonnegative, got {self.seed}")
 
 
 def rasterize_ellipses(ellipses: np.ndarray, grid: ImageGrid) -> np.ndarray:
@@ -116,15 +98,14 @@ def rasterize_ellipses(ellipses: np.ndarray, grid: ImageGrid) -> np.ndarray:
     return out
 
 
-def _draw_ellipses(params: PhantomParams, rng: np.random.Generator, extent: float) -> np.ndarray:
-    base = SHEPP_LOGAN[: params.n_ellipses_base].copy()
+def _draw_ellipses(rng: np.random.Generator, extent: float) -> np.ndarray:
     rows = []
-    for amp, a, b, x0, y0, deg in base:
-        factor = rng.uniform(*params.amp_range)
-        jx, jy = rng.uniform(-params.pos_jitter, params.pos_jitter, size=2) * extent
+    for amp, a, b, x0, y0, deg in SHEPP_LOGAN:
+        factor = rng.uniform(*AMP_RANGE)
+        jx, jy = rng.uniform(-POS_JITTER, POS_JITTER, size=2) * extent
         rows.append([amp * factor, a * extent, b * extent, x0 * extent + jx, y0 * extent + jy, np.deg2rad(deg)])
 
-    theta = rng.uniform(*params.rot_range)
+    theta = rng.uniform(*ROT_RANGE)
     ct, st = np.cos(theta), np.sin(theta)
     for row in rows:
         x0, y0 = row[3], row[4]
@@ -132,7 +113,7 @@ def _draw_ellipses(params: PhantomParams, rng: np.random.Generator, extent: floa
         row[4] = st * x0 + ct * y0
         row[5] += theta
 
-    n_fine = int(rng.integers(min(3, params.n_fine), params.n_fine + 1))
+    n_fine = int(rng.integers(min(3, N_FINE), N_FINE + 1))
     for _ in range(n_fine):
         amp = rng.uniform(0.3, 1.0)
         a, b = rng.uniform(0.01, 0.04, size=2) * extent
@@ -141,7 +122,7 @@ def _draw_ellipses(params: PhantomParams, rng: np.random.Generator, extent: floa
         ang = rng.uniform(0.0, np.pi)
         rows.append([amp, a, b, rad * np.cos(phi), rad * np.sin(phi), ang])
 
-    return np.array(rows) if rows else np.zeros((0, 6))
+    return np.array(rows)
 
 
 def support_mask(grid: ImageGrid) -> np.ndarray:
@@ -154,19 +135,17 @@ def support_mask(grid: ImageGrid) -> np.ndarray:
 def generate_phantom(params: PhantomParams, grid: ImageGrid) -> Image:
     """Generate one randomized phantom on ``grid``.
 
-    Deterministic in (params, grid).  The result is nonnegative and
+    Deterministic in (params.seed, grid).  The result is nonnegative and
     supported inside the disc of radius 0.9 * extent.
     """
     if grid.n < _MIN_PHANTOM_N:
         raise ConfigError(f"phantom generation needs n >= {_MIN_PHANTOM_N}, got {grid.n}")
     rng = np.random.default_rng(params.seed)
-    ellipses = _draw_ellipses(params, rng, grid.extent)
+    ellipses = _draw_ellipses(rng, grid.extent)
     values = rasterize_ellipses(ellipses, grid)
 
-    alpha = params.elastic_alpha if params.elastic_alpha is not None else 3.0 * grid.n / 256.0
-    sigma = params.elastic_sigma if params.elastic_sigma is not None else 8.0 * grid.n / 256.0
     deform_seed = int(rng.integers(0, 2**63))
-    values = _deform_values(values, deform_seed, alpha, sigma)
+    values = _deform_values(values, deform_seed, ELASTIC_ALPHA * grid.n / 256.0, ELASTIC_SIGMA * grid.n / 256.0)
 
     values[~support_mask(grid)] = 0.0
     np.maximum(values, 0.0, out=values)

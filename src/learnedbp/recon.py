@@ -63,6 +63,10 @@ BLOCK_VALUES = 102_400
 # pixel centers by 7.4, 6.7 and 5.1 of them (table mode at 20 and 100
 # detectors, exact mode at 20)
 BUILD_TEMPORARIES = 10
+# integral_weights' rows per chunk, and the (chunk, n_t) float64 temporaries
+# by which traced exact gathers peaked above b, geometry and quadrature matrix
+WEIGHT_CHUNK = 128
+CHUNK_TEMPORARIES = 9
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,8 @@ def integral_weights(d: np.ndarray, time: TimeGrid, sound_speed: float = 1.0) ->
     # index of the first interval [t_k, t_{k+1}] with t_{k+1} > d, per row
     first = np.searchsorted(tau[1:], d, side="right")
     weights = np.zeros((d.shape[0], time.n_t))
-    for start in range(0, d.shape[0], 128):
-        rows = slice(start, start + 128)
+    for start in range(0, d.shape[0], WEIGHT_CHUNK):
+        rows = slice(start, start + WEIGHT_CHUNK)
         k0 = first[rows].min()
         a = tau[k0:-1][None, :]
         b = tau[k0 + 1 :][None, :]
@@ -173,8 +177,9 @@ def pixel_blocks(n_px: int, n_s: int) -> list:
 def gather_bytes(block: int, n_s: int, n_t: int, exact: bool) -> int:
     """Bytes one gather of ``block`` pixels allocates: the float64 b and, in exact
     mode, six float64 values per (pixel, detector) for its geometry (traced, it
-    peaks at 41 B) and one detector's (block, n_t) quadrature matrix at a time."""
-    return 8 * block * (n_s + (6 * n_s + n_t if exact else 0))
+    peaks at 41 B), then one detector's (block, n_t) quadrature matrix and its chunk temporaries."""
+    exact_bytes = 8 * block * (6 * n_s + n_t) + 8 * CHUNK_TEMPORARIES * min(block, WEIGHT_CHUNK) * n_t
+    return 8 * block * n_s + (exact_bytes if exact else 0)
 
 
 def operator_bytes(n_px: int, n_s: int, n_t: int, exact: bool) -> int:

@@ -115,20 +115,12 @@ def sample_loss(weights: WeightTensor, data: SensorData, truth: Image, op: Backp
     return float(((recon.values - truth.values) ** 2).sum())
 
 
-def loss(weights: WeightTensor, pairs, op: BackprojectionOperator, squared: bool = True) -> float:
-    """Mean reconstruction error of ``pairs`` = [(SensorData, Image), ...].
-
-    Default is the mean of squared Euclidean norms ||F - P(W,G)||^2 (the
-    form whose gradient drives training); ``squared=False`` averages the
-    unsquared norms instead.
-    """
+def loss(weights: WeightTensor, pairs, op: BackprojectionOperator) -> float:
+    """Mean squared Euclidean norm ||F - P(W,G)||^2 over ``pairs`` =
+    [(SensorData, Image), ...], the form whose gradient drives training."""
     if len(pairs) == 0:
         raise ConfigError("loss needs at least one pair")
-    total = 0.0
-    for data, truth in pairs:
-        value = sample_loss(weights, data, truth, op)
-        total += value if squared else np.sqrt(value)
-    return total / len(pairs)
+    return sum(sample_loss(weights, data, truth, op) for data, truth in pairs) / len(pairs)
 
 
 def grad(weights: WeightTensor, pair, op: BackprojectionOperator) -> np.ndarray:

@@ -366,6 +366,22 @@ def test_gen_data_bad_operator_argument_creates_no_out(tmp_path, cfg_path, flag,
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("verb, seed_args, cfg_seed", [
+    ("gen-data", ["--seed", "-1"], CFG_SEED),
+    ("gen-data", [], -2),
+    ("phantom", ["--seed", "-7"], CFG_SEED),
+])
+def test_negative_phantom_seed_exits_2_and_writes_nothing(tmp_path, scenario, verb, seed_args, cfg_seed, capsys):
+    # numpy's generators take no negative seed; --out is left uncreated
+    cfg = tmp_path / "scenario.cfg"
+    fileio.save_scenario_cfg(cfg, scenario, seed=cfg_seed)
+    out = tmp_path / "new" / "out"
+    count = ["--count", "2"] if verb == "gen-data" else []
+    assert main([verb, "--scenario", str(cfg), "--out", str(out)] + count + seed_args) == 2
+    assert "phantom seeds must be nonnegative" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]
+
+
 @pytest.mark.parametrize("line", ["extent=inf", "arc_end=inf", "t_final=inf", "sound_speed=inf", "radius=inf"])
 def test_gen_data_non_finite_scenario_value_creates_no_out(tmp_path, line, capsys):
     cfg = tmp_path / "scenario.cfg"
@@ -491,6 +507,17 @@ def test_train_run_json_records_the_run(tmp_path, train_dir, test_dir):
     assert list(run["datasets"]) == ["train"]
     assert run["learning_rate"] == 1e-4
     assert run["prescan"] == []
+
+
+def test_train_weight_grid_matches_the_library(tmp_path, train_dir):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(train_dir), "--out", str(out),
+                 "--weight-grid", "4", "--lr", "1e-3", "--epochs", "3"]) == 0
+    dataset = fileio.Dataset.open(train_dir)
+    cfg = TrainConfig(weight_grid=4, learning_rate=1e-3, epochs=3)
+    state = training.sgd_train(dataset.pairs(), [], cfg, BackprojectionOperator.from_scenario(dataset.scenario))
+    assert np.array_equal(fileio.read_patb(out / "weights_epoch0003.patb"), f32(state.weights.values))
+    assert json.loads((out / "run.json").read_text())["config"]["weight_grid"] == 4
 
 
 def strip_wall_column(lines):
@@ -834,6 +861,19 @@ def test_evaluate_writes_csv_and_prints_table(tmp_path, train_dir, ones_weights,
     out = capsys.readouterr().out
     assert "B_sparse" in out
     assert "mean rel l2 error" in out
+
+
+def test_evaluate_squared_squares_the_rows(tmp_path, train_dir, ones_weights):
+    rows = {}
+    for flags in ([], ["--squared"]):
+        csv_path = tmp_path / f"report{len(flags)}.csv"
+        assert main(["evaluate", "--data", str(train_dir), "--weights", str(ones_weights),
+                     "--out", str(csv_path)] + flags) == 0
+        rows[len(flags)] = [line.rsplit(",", 1) for line in read_lines(csv_path)[1:]]
+    assert [key for key, _ in rows[1]] == [key for key, _ in rows[0]]
+    # the CSV rounds each value to 10 significant digits
+    for (_, plain), (_, squared) in zip(rows[0], rows[1]):
+        assert float(squared) == pytest.approx(float(plain) ** 2, rel=1e-9)
 
 
 def test_evaluate_without_weights_reports_ubp_only(tmp_path, train_dir):

@@ -171,6 +171,22 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario(grid=grid, detectors=full, time=time, label="A_limited_view")
 
+    def test_canonical_label_means_its_exact_layout(self):
+        # both layouts fit the label loosely: a sub-arc of the left half
+        # circle, and equidistant detectors rotated off 2*pi*k/n_s
+        grid = ImageGrid(n=16)
+        time = TimeGrid(n_t=10, t_final=3.0)
+        sub_arc = make_detectors("custom", 20, 1.0, math.pi / 2 + 0.2, 3 * math.pi / 2 - 0.2)
+        angles = 2.0 * math.pi * np.arange(8) / 8 + 0.1
+        normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        rotated = DetectorArray(normals, normals, 2.0 * math.pi / 8, 1.0)
+        for label, det in (("A_limited_view", sub_arc), ("C_limited_sparse", sub_arc), ("B_sparse", rotated)):
+            with pytest.raises(ConfigError, match=f"label {label} requires"):
+                Scenario(grid=grid, detectors=det, time=time, label=label)
+            Scenario(grid=grid, detectors=det, time=time, label="custom")
+        with pytest.raises(ConfigError, match="unknown scenario label"):
+            Scenario(grid=grid, detectors=rotated, time=time, label="D_other")
+
     def test_rejects_bad_sound_speed(self):
         grid = ImageGrid(n=16)
         time = TimeGrid(n_t=10, t_final=3.0)

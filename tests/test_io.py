@@ -1,5 +1,3 @@
-import math
-import os
 import struct
 from pathlib import Path
 

@@ -403,12 +403,12 @@ class TestPixelBlocks:
         # A/256 with 100 detectors, 150 + 30 samples, n_t = 400: the
         # footprints of the fixed 1024-pixel blocks the budget of values
         # replaced; exact mode keeps nothing per (pixel, detector) and counts
-        # one gather, 9.0 MB with its geometry and its (1024, n_t) quadrature
-        # matrix; training holds the probes' b (131 MB) or, per checkpoint
-        # epoch before the last, a 26 MB slot
+        # one gather, 12.7 MB with its geometry, its (1024, n_t) quadrature
+        # matrix and nine (128, n_t) chunk temporaries; training holds the
+        # probes' b (131 MB) or, per checkpoint epoch before the last, a 26 MB slot
         assert recon.operator_bytes(256 * 256, 100, 400, exact=False) == 172_059_780
-        assert recon.gather_bytes(1024, 100, 400, exact=True) == 9_011_200
-        assert recon.operator_bytes(256 * 256, 100, 400, exact=True) == 18_251_776
+        assert recon.gather_bytes(1024, 100, 400, exact=True) == 9_011_200 + 9 * 8 * 128 * 400 == 12_697_600
+        assert recon.operator_bytes(256 * 256, 100, 400, exact=True) == 18_251_776 + 9 * 8 * 128 * 400
         op = SimpleNamespace(grid=SimpleNamespace(n=256), detectors=SimpleNamespace(n_s=100),
                              blocks=recon.pixel_blocks(256 * 256, 100),
                              gather_bytes=lambda: recon.gather_bytes(1024, 100, 400, exact=False),
@@ -630,6 +630,22 @@ class TestBlockedBuild:
             tracemalloc.stop()
         assert b.shape == (5120, n_s)
         assert peak <= recon.operator_bytes(n * n, n_s, n_t, exact=True)
+
+    @pytest.mark.parametrize("label, n, n_t", [("B_sparse", 32, 400), ("C_limited_sparse", 16, 200)])
+    def test_exact_gather_peaks_within_its_count_at_small_grids(self, label, n, n_t):
+        # at four detectors integral_weights' (128, n_t) chunk temporaries
+        # outweigh b, the geometry and the quadrature matrix together
+        sc = make_scenario(label, n=n, n_s=4, n_t=n_t)
+        op = BackprojectionOperator.from_scenario(sc, exact=True)
+        table = op.tabulate(SensorData(np.random.default_rng(4).standard_normal((n_t, 4)), sc.time, sc.detectors))
+        for k in range(len(op.blocks)):
+            tracemalloc.start()
+            try:
+                op.gather(table, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= op.gather_bytes()
 
 
 class TestMemoryCheck:

@@ -144,12 +144,7 @@ class TestLoss:
         w = WeightTensor.ones(sc.grid, sc.detectors.n_s)
         per_sample = [sample_loss(w, d, f, op) for d, f in pairs]
         assert loss(w, pairs, op) == pytest.approx(np.mean(per_sample), rel=1e-14)
-
-    def test_unsquared_variant(self, small_problem):
-        sc, op, pairs = small_problem
-        w = WeightTensor.ones(sc.grid, sc.detectors.n_s)
-        one = pairs[:1]
-        assert loss(w, one, op, squared=False) == pytest.approx(math.sqrt(loss(w, one, op)), rel=1e-14)
+        assert loss(w, pairs, op) == sum(per_sample) / len(pairs)
 
     def test_empty_rejected(self, small_problem):
         sc, op, _ = small_problem
