@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, fileio, metrics, training
+from . import __version__, fileio, forward, metrics, training
 from .errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
 from .forward import DEFAULT_N_R_PER_DT, GEN_CHUNK, ForwardOperator, SensorData
 from .phantoms import PhantomParams, generate_phantom
@@ -115,8 +115,10 @@ def cmd_gen_data(args) -> int:
             "noise": args.noise,
             "n_angles": op.n_angles,
             "n_r_per_dt": op.n_r_per_dt,
+            "workers": forward.WORKERS,
             "version": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         }
         dataset = fileio.Dataset(out, scenario, args.split, stems, provenance)
         dataset.write_manifest()

@@ -265,12 +265,16 @@ class Dataset:
     against the actual listing.  ``provenance`` holds what produced the
     samples, any of: the effective base seed (sample i is the phantom of
     seed + i), the relative noise level, the simulator's quadrature
-    (``n_angles``, ``n_r_per_dt``) and the package and numpy versions.
+    (``n_angles``, ``n_r_per_dt``), the threads that gathered its detector
+    units (``workers``, which does not change the data) and the package,
+    numpy and scipy versions.  Every key is optional, so a manifest
+    written before a key was added still opens.
     """
 
     MANIFEST = "manifest.txt"
     SCENARIO = "scenario.cfg"
-    PROVENANCE = {"seed": int, "noise": float, "n_angles": int, "n_r_per_dt": int, "version": str, "numpy": str}
+    PROVENANCE = {"seed": int, "noise": float, "n_angles": int, "n_r_per_dt": int, "workers": int,
+                  "version": str, "numpy": str, "scipy": str}
     _MANIFEST_KEYS = {"split": str, "count": int, "scenario": str, **PROVENANCE}
     _SAMPLE_FILE = re.compile(r"(?:phantom|data)_(\d{5,})\.patb")
 

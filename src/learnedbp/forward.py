@@ -29,17 +29,32 @@ sampled once: the lower-index detector's samples read the image and its
 row-flipped copy, and the copy's means are the partner's to rounding.  A
 detector without a partner is a pair without the flipped half, so every
 detector goes through the same call, and the lower-index and unpaired
-detectors' means are bitwise those of sampling each alone.  Each image
-then gets its own Abel product, a plain sum in column order over the
-quadrature matrix's CSR staircase, so its data do not depend on the
-batch and the product starts no BLAS threads.  Before allocating, the
-build compares the footprint of itself and of one GEN_CHUNK batch
-(simulation_bytes) with the memory available to the process and raises
-ConfigError when it does not fit.
+detectors' means are bitwise those of sampling each alone.
+
+Such a detector unit (a mirror pair, or a detector without one) writes
+only its own columns of the batch's mean tables, so the units are shared
+out between the calling thread and, when the process may run on two or
+more cores, one worker thread (WORKERS: the usable cores, at most 2).
+The worker is started on first use and kept for the process; with one
+usable core the caller gathers every unit and no thread is started.
+Which thread gathers a unit does not change its bits, so the data are
+bitwise the same for one and two workers.  Each participant gathers into
+block buffers the caller allocates once per call (see _gather_buffers).
+The cell tables, the Abel product and the time derivative stay on the
+caller: each image gets its own Abel product, a single-threaded plain sum
+in column order over the quadrature matrix's CSR staircase, so its data
+do not depend on the batch and the product starts no BLAS threads.
+Before allocating, the build compares the footprint of itself and of one
+GEN_CHUNK batch (simulation_bytes) with the memory available to the
+process and raises ConfigError when it does not fit.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +66,7 @@ from .memory import available_memory, require
 from .phantoms import Image
 
 DEFAULT_N_R_PER_DT = 4
-# circle samples gathered at once: a few MB of geometry and temporaries
+# circle samples gathered at once: a few MB of buffers per participant
 GATHER_BLOCK = 1 << 16
 # largest distance, relative to the detection radius, between one detector's
 # position and the other's mirror image (and between their unit normals) at
@@ -64,8 +79,14 @@ GEN_CHUNK = 8
 # (n_t, n_r + 1) float64 arrays counted for an operator build: its traced
 # peak was 5.3 of them, the dense quadrature matrix it keeps included
 QUADRATURE_ARRAYS = 6
-# bytes per circle sample of one gather block's geometry and temporaries
-GATHER_SAMPLE_BYTES = 128
+# bytes per circle sample of one participant's gather buffers: two int64 and three
+# float64 rows of sample geometry and the four rows a cell table is taken into
+GATHER_SAMPLE_BYTES = 72
+# threads that gather detector units in simulate_batch: the calling thread and,
+# when the process may run on two or more cores, one worker thread
+WORKERS = min(len(os.sched_getaffinity(0)), 2)
+# name prefix of the simulator's worker thread
+WORKER_THREAD = "learnedbp-simulate"
 
 
 @dataclass(frozen=True)
@@ -160,11 +181,20 @@ def simulation_bytes(n: int, n_s: int, n_t: int, n_angles: int, n_r_per_dt: int)
     """Footprint of a ForwardOperator build and one simulate_batch of
     GEN_CHUNK images on an (n, n) grid: the build's quadrature arrays and
     the directivity table, the batch's cell tables and their row-flipped
-    copies, its mean tables and data, and one gather block."""
+    copies, its mean tables and data, and one set of gather buffers per
+    participant (WORKERS of them)."""
     n_r = n_t * n_r_per_dt
     build = QUADRATURE_ARRAYS * n_t * (n_r + 1) + n_s * n_angles
     batch = GEN_CHUNK * (2 * 4 * (n + 2) ** 2 + (n_r + 1) * n_s + 2 * n_t * n_s)
-    return 8 * (build + batch) + GATHER_SAMPLE_BYTES * (GATHER_BLOCK + n_r + 1)
+    gather = GATHER_SAMPLE_BYTES * (GATHER_BLOCK + n_r + 1) + 8 * 2 * GEN_CHUNK * (n_r + 1)
+    return 8 * (build + batch) + WORKERS * gather
+
+
+@functools.cache
+def _worker(pid: int) -> ThreadPoolExecutor:
+    """The simulator's one worker thread, started on first use and kept;
+    keyed by process id, so a forked child starts its own."""
+    return ThreadPoolExecutor(1, thread_name_prefix=WORKER_THREAD)
 
 
 class ForwardOperator:
@@ -238,7 +268,17 @@ class ForwardOperator:
         far = max((dist[img.values != 0].max(initial=-1.0) for img in images), default=-1.0)
         return far + np.sqrt(2.0) * grid.spacing if far >= 0 else -1.0
 
-    def _sample_blocks(self, j: int, radius: float):
+    def _gather_buffers(self, n_tables: int) -> tuple:
+        """One participant's gather buffers for blocks of up to
+        GATHER_BLOCK samples plus one ray: int64 rows for the samples'
+        radial nodes and cells, float64 rows for their row and column
+        offsets and directivity, the four rows a cell table is taken into,
+        and ``n_tables`` rows of radial sums."""
+        size = GATHER_BLOCK + self.radii.shape[0]
+        return (np.empty((2, size), np.int64), np.empty((3, size)), np.empty(4 * size),
+                np.empty((n_tables, self.radii.shape[0])))
+
+    def _sample_blocks(self, j: int, radius: float, buffers: tuple):
         """Every circle sample of detector ``j`` that can be nonzero, in
         blocks of whole rays of about GATHER_BLOCK samples, in angle order.
 
@@ -248,7 +288,9 @@ class ForwardOperator:
         sampled; rays that miss the disk or have directivity 0 get none.
         Yields their radial node indices, their flat cell indices into a
         :func:`cell_table`, the fractional row and column offsets in the
-        cell, and their directivity (all ones when it is disabled).
+        cell, and their directivity (all ones when it is disabled), as
+        views of ``buffers`` (see _gather_buffers) that the next block
+        overwrites.
         """
         grid = self.scenario.grid
         n, h = grid.n, grid.spacing
@@ -266,22 +308,34 @@ class ForwardOperator:
         seen = (disc >= 0) & (radius >= 0) & (self.phi[j] > 0)
         count[~seen] = 0
 
+        nodes = np.arange(n_r + 1)
+        # each ray's direction (y, x: the order of the fr and fc rows) and directivity, along its nodes
+        along = np.stack([self.omega[:, 1], self.omega[:, 0], self.phi[j]], axis=1)[:, :, None]
+        along = np.broadcast_to(along, (self.n_angles, 3, n_r + 1))
         # rays go to the block their first sample falls in: at most GATHER_BLOCK samples plus one ray
         offset = np.cumsum(count) - count
         cuts = np.flatnonzero(np.diff(offset // GATHER_BLOCK)) + 1
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, self.n_angles]):
-            m = count[lo:hi]
-            # node index of each sample: consecutive along every clipped ray
-            skip = np.cumsum(m) - m - first[lo:hi]
-            node = np.arange(m.sum()) - np.repeat(skip, m)
-            r = node * dr
+            live = np.flatnonzero(count[lo:hi]) + lo
+            if live.size == 0:
+                continue
+            size = count[live].sum()
+            node, cell = buffers[0][:, :size]
+            fr, fc, phi = buffers[1][:, :size]
+            # until the cell tables are taken into it, the take buffer holds
+            # the samples' radii and then their row and column indices
+            r, col = buffers[2][: 2 * size].reshape(2, -1)
+            # the rays' consecutive radial nodes, directions and directivity,
+            # joined straight into the buffers
+            rays = list(zip(live.tolist(), first[live].tolist(), count[live].tolist()))
+            np.concatenate([nodes[f : f + m] for _, f, m in rays], out=node)
+            np.concatenate([along[a, :, :m] for a, _, m in rays], axis=1, out=buffers[1][:, :size])
+            np.multiply(node, dr, out=r)
             # padded pixel coordinates, clamped to [0, n + 1]: a point on or
             # beyond the padded border lands in a cell of zeros
-            fc = np.repeat(self.omega[lo:hi, 0], m)
             fc *= r
             fc += pos[0]
             fc += grid.extent
-            fr = np.repeat(self.omega[lo:hi, 1], m)
             fr *= r
             fr += pos[1]
             np.subtract(grid.extent, fr, out=fr)
@@ -289,25 +343,32 @@ class ForwardOperator:
                 c /= h
                 c += 0.5
                 np.clip(c, 0.0, n + 1.0, out=c)
-            i0 = fr.astype(np.int64)
-            j0 = fc.astype(np.int64)
-            fr -= i0
-            fc -= j0
-            cell = i0
-            cell *= n + 2
-            cell += j0
-            yield node, cell, fr, fc, np.repeat(self.phi[j, lo:hi], m)
+            # each sample's cell row and column: the floors (the truncations, as the
+            # coordinates are nonnegative), the row written over the radii
+            row = np.floor(fr, out=r)
+            np.floor(fc, out=col)
+            fr -= row
+            fc -= col
+            row *= n + 2
+            row += col
+            np.copyto(cell, row, casting="unsafe")  # an integer-valued float
+            yield node, cell, fr, fc, phi
 
-    def _tables(self, j: int, radius: float, cells) -> np.ndarray:
+    def _tables(self, j: int, radius: float, cells, buffers: tuple) -> np.ndarray:
         """Radius-weighted directional circular means around detector
-        ``j`` at every radial node, one row per :func:`cell_table`.
+        ``j`` at every radial node, one row per :func:`cell_table`, as a
+        view of ``buffers``' sums (see _gather_buffers).
 
         Each block's samples are added into their bins in order, the same
         sequence of additions a single np.bincount of all of them makes."""
-        sums = np.zeros((len(cells), self.radii.shape[0]))
-        for node, cell, fr, fc, phi in self._sample_blocks(j, radius):
+        sums = buffers[3][: len(cells)]
+        sums.fill(0.0)
+        for node, cell, fr, fc, phi in self._sample_blocks(j, radius, buffers):
+            # a contiguous out and mode="clip" (every cell is in range) let
+            # numpy take into the buffer directly instead of through a copy
+            c0, c1, c2, c3 = taken = buffers[2][: 4 * node.size].reshape(4, -1)
             for k, table in enumerate(cells):
-                c0, c1, c2, c3 = table.take(cell, axis=1)
+                table.take(cell, axis=1, out=taken, mode="clip")
                 # c0 + fc*c1 + fr*(c2 + fc*c3), in place
                 c3 *= fc
                 c3 += c2
@@ -317,7 +378,23 @@ class ForwardOperator:
                 c1 += c3
                 c1 *= phi
                 np.add.at(sums[k], node, c1)
-        return self.radii * sums / self.n_angles
+        sums *= self.radii
+        sums /= self.n_angles
+        return sums
+
+    def _gather_units(self, units, radius: float, cells, flipped, tables: np.ndarray, buffers: tuple):
+        """Gather the detector units ``units`` hands out into their own
+        columns of ``tables`` until it is exhausted.  On an error the
+        iterator is exhausted first, so the other participant stops after
+        its current unit."""
+        try:
+            for j, k in units:
+                # a lone detector (k == j) is a pair without its flipped half
+                means = self._tables(j, radius, cells + flipped if k > j else cells, buffers)
+                tables[:, :, j], tables[:, :, k] = means[: len(cells)], means[-len(cells) :]
+        except BaseException:
+            collections.deque(units, maxlen=0)
+            raise
 
     def simulate(self, img: Image) -> SensorData:
         return self.simulate_batch([img])[0]
@@ -325,21 +402,32 @@ class ForwardOperator:
     def simulate_batch(self, images) -> list[SensorData]:
         """Simulate several images at once, sampling each detector's
         circles once for the whole batch and each mirror pair's once for
-        the batch and its row-flipped copies.  Each image's data are
-        bitwise those of simulating it alone."""
+        the batch and its row-flipped copies, the detector units shared out
+        between this thread and the simulator's worker.  Each image's data
+        are bitwise those of simulating it alone, with any worker count."""
         grid, det, time = self.scenario.grid, self.scenario.detectors, self.scenario.time
         for img in images:
             if img.grid != grid:
                 raise ShapeMismatchError(f"image grid {img.grid} does not match scenario grid {grid}")
+        if not images:
+            return []
         radius = self._support_radius(images)
         cells = [cell_table(img.values) for img in images]
         # detector k = mirror[j] > j reads the image at the mirror points of
         # j's samples, which are j's samples of the row-flipped image
         flipped = [cell_table(img.values[::-1]) for img in images]
         tables = np.empty((len(images), self.radii.shape[0], det.n_s))
-        for j, k in enumerate(self.mirror):
-            if k >= j:  # a lone detector (k == j) is a pair without its flipped half
-                means = self._tables(j, radius, cells + flipped if k > j else cells)
-                tables[:, :, j], tables[:, :, k] = means[: len(images)], means[-len(images) :]
+        units = [(j, k) for j, k in enumerate(self.mirror) if k >= j]
+        # the buffers are allocated here, so the worker allocates no block-sized array
+        buffers = [self._gather_buffers(2 * len(images)) for _ in range(min(WORKERS, len(units)))]
+        # one iterator hands each unit out once, to whichever participant asks first (next()
+        # on a list iterator is one C call, which the interpreter lock makes atomic)
+        gather = functools.partial(self._gather_units, iter(units), radius, cells, flipped, tables)
+        helpers = [_worker(os.getpid()).submit(gather, own) for own in buffers[1:]]
+        try:
+            gather(buffers[0])
+        finally:
+            wait(helpers)
+        for helper in helpers:
+            helper.result()
         return [SensorData(time_derivative(self.abel @ table, time.dt), time, det) for table in tables]
-

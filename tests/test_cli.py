@@ -326,8 +326,10 @@ def test_gen_data_manifest_rebuilds_the_dataset(tmp_path, cfg_path):
         "noise": 0.0,
         "n_angles": 4 * N,
         "n_r_per_dt": 4,
+        "workers": forward.WORKERS,
         "version": learnedbp.__version__,
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
     op = ForwardOperator(
         dataset.scenario,
@@ -338,6 +340,20 @@ def test_gen_data_manifest_rebuilds_the_dataset(tmp_path, cfg_path):
         rebuilt = generate_phantom(PhantomParams(seed=dataset.provenance["seed"] + i), dataset.scenario.grid)
         np.testing.assert_array_equal(phantom.values, f32(rebuilt.values))
         np.testing.assert_array_equal(data.values, f32(op.simulate(rebuilt).values))
+
+
+def test_gen_data_records_its_workers_and_scipy_and_writes_the_same_files(tmp_path, cfg_path, monkeypatch, two_cores):
+    outs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(forward, "WORKERS", workers)
+        outs.append(tmp_path / f"workers{workers}")
+        assert main(["gen-data", "--scenario", str(cfg_path), "--out", str(outs[-1]), "--count", "3"]) == 0
+        provenance = fileio.Dataset.open(outs[-1]).provenance
+        assert (provenance["workers"], provenance["scipy"]) == (workers, scipy.__version__)
+    names = sorted(path.name for path in outs[0].glob("*.patb"))
+    assert len(names) == 6
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_gen_data_removes_partial_output_on_failure(tmp_path, cfg_path, monkeypatch):

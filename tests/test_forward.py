@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -432,13 +435,19 @@ def _old_cells(grid: ImageGrid, x: np.ndarray, y: np.ndarray):
     return i0 * (n + 2) + j0, row - i0, col - j0
 
 
+def _blocks(op: ForwardOperator, j: int, radius: float) -> list:
+    """Every yield of op._sample_blocks(j, radius), copied out of the
+    gather buffers that each block overwrites."""
+    return [tuple(a.copy() for a in block) for block in op._sample_blocks(j, radius, op._gather_buffers(1))]
+
+
 def _n_samples(op: ForwardOperator, j: int, radius: float) -> int:
-    return sum(block[0].size for block in op._sample_blocks(j, radius))
+    return sum(block[0].size for block in _blocks(op, j, radius))
 
 
 def _one_block(op: ForwardOperator, j: int, radius: float):
     """Every yield of op._sample_blocks(j, radius), joined into one."""
-    blocks = list(op._sample_blocks(j, radius))
+    blocks = _blocks(op, j, radius)
     if not blocks:
         return None
     return tuple(np.concatenate([block[q] for block in blocks]) for q in range(5))
@@ -563,9 +572,9 @@ class TestSupportClip:
         longest = op.radii.shape[0]
         for j in range(sc.detectors.n_s):
             monkeypatch.setattr(forward, "GATHER_BLOCK", longest * op.n_angles + 1)
-            (whole,) = op._sample_blocks(j, radius)
+            (whole,) = _blocks(op, j, radius)
             monkeypatch.setattr(forward, "GATHER_BLOCK", 500)
-            blocks = list(op._sample_blocks(j, radius))
+            blocks = _blocks(op, j, radius)
             assert len(blocks) > 1
             assert all(block[0].size <= 500 + longest for block in blocks)
             for q in range(4):
@@ -624,7 +633,7 @@ def _per_detector_simulate(op: ForwardOperator, images) -> list:
     cells = [cell_table(img.values) for img in images]
     tables = np.empty((len(images), op.radii.shape[0], det.n_s))
     for j in range(det.n_s):
-        tables[:, :, j] = op._tables(j, radius, cells)
+        tables[:, :, j] = op._tables(j, radius, cells, op._gather_buffers(len(cells)))
     return [time_derivative(op.abel @ table, time.dt) for table in tables]
 
 
@@ -632,7 +641,7 @@ def _mean_table(op: ForwardOperator, img: Image, j: int) -> np.ndarray:
     """Directional circular means of ``img`` around detector ``j`` at every
     radial node, already multiplied by the radius: one detector's
     ``_tables`` for one image."""
-    return op._tables(j, op._support_radius([img]), [cell_table(img.values)])[0]
+    return op._tables(j, op._support_radius([img]), [cell_table(img.values)], op._gather_buffers(1))[0]
 
 
 def _mean_table_simulate(op: ForwardOperator, img: Image) -> np.ndarray:
@@ -710,24 +719,181 @@ class TestMirrorPairs:
         sample_blocks = ForwardOperator._sample_blocks
         sampled = []
 
-        def counting(self, j, radius):
+        def counting(self, j, radius, buffers):
             sampled.append(j)
-            return sample_blocks(self, j, radius)
+            return sample_blocks(self, j, radius, buffers)
 
         monkeypatch.setattr(ForwardOperator, "_sample_blocks", counting)
         op.simulate(generate_phantom(PhantomParams(seed=3), op.scenario.grid))
-        assert sampled == np.flatnonzero(op.mirror >= np.arange(n_s)).tolist()
+        # two participants may start their units in either order
+        assert sorted(sampled) == np.flatnonzero(op.mirror >= np.arange(n_s)).tolist()
         assert len(sampled) == n_s - pairs
 
 
+def _bits(op: ForwardOperator, images, monkeypatch, workers: int) -> list:
+    """simulate_batch's data as int64 bit patterns, gathered by ``workers`` threads."""
+    monkeypatch.setattr(forward, "WORKERS", workers)
+    return [d.values.view(np.int64) for d in op.simulate_batch(images)]
+
+
+class TestWorkers:
+    """Detector units shared between the caller and the worker thread
+    give bitwise the data of gathering them all on the caller."""
+
+    @staticmethod
+    def _assert_split_is_serial(op, images, monkeypatch):
+        serial = _bits(op, images, monkeypatch, 1)
+        split = _bits(op, images, monkeypatch, 2)
+        assert len(split) == len(serial) == len(images)
+        for got, want in zip(split, serial, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("directivity", [True, False])
+    @pytest.mark.parametrize("label", ["A_limited_view", "B_sparse", "C_limited_sparse"])
+    def test_canonical_layouts(self, two_cores, monkeypatch, label, directivity):
+        sc = dataclasses.replace(make_scenario(label, n=32, n_t=100), directivity_enabled=directivity)
+        rng = np.random.default_rng(31)
+        images = [generate_phantom(PhantomParams(seed=51), sc.grid), Image(sc.grid, rng.random((32, 32)))]
+        self._assert_split_is_serial(ForwardOperator(sc), images, monkeypatch)
+
+    @pytest.mark.parametrize("label, n_s, arc", [("custom", 30, (0.3, 2.0)), ("B_sparse", 21, None)],
+                             ids=["custom", "B21"])
+    def test_lone_detectors(self, two_cores, monkeypatch, label, n_s, arc):
+        op = ForwardOperator(_layout_scenario(label, n_s, arc, n=32, n_t=100))
+        assert np.any(op.mirror == np.arange(n_s))
+        self._assert_split_is_serial(op, [generate_phantom(PhantomParams(seed=52), op.scenario.grid)], monkeypatch)
+
+    def test_gen_chunk_batch_and_zero_images(self, two_cores, monkeypatch):
+        sc = make_scenario("A_limited_view", n=32, n_t=100)
+        op = ForwardOperator(sc)
+        images = [generate_phantom(PhantomParams(seed=60 + s), sc.grid) for s in range(forward.GEN_CHUNK)]
+        self._assert_split_is_serial(op, images, monkeypatch)
+        zero = Image(sc.grid, np.zeros((32, 32)))
+        self._assert_split_is_serial(op, [zero], monkeypatch)
+        self._assert_split_is_serial(op, [zero, images[0]], monkeypatch)
+
+    def test_empty_batch_starts_no_thread(self, two_cores, monkeypatch):
+        op = ForwardOperator(make_scenario("B_sparse", n=32, n_t=100))
+        monkeypatch.setattr(forward, "_worker", None)  # calling it would raise
+        assert _bits(op, [], monkeypatch, 2) == _bits(op, [], monkeypatch, 1) == []
+
+    @pytest.mark.parametrize("block", [1, 97])
+    def test_small_gather_blocks(self, two_cores, monkeypatch, block):
+        sc = make_scenario("C_limited_sparse", n=32, n_t=100)
+        op = ForwardOperator(sc)
+        images = [generate_phantom(PhantomParams(seed=53), sc.grid)]
+        whole = _bits(op, images, monkeypatch, 1)
+        monkeypatch.setattr(forward, "GATHER_BLOCK", block)
+        self._assert_split_is_serial(op, images, monkeypatch)
+        np.testing.assert_array_equal(_bits(op, images, monkeypatch, 2)[0], whole[0])
+
+    def test_each_unit_is_gathered_once_under_frequent_thread_switches(self, two_cores, monkeypatch):
+        sc = make_scenario("B_sparse", n=16, n_s=21, n_t=40)
+        op = ForwardOperator(sc)
+        images = [generate_phantom(PhantomParams(seed=58), sc.grid)]
+        want = _bits(op, images, monkeypatch, 1)
+        tables = ForwardOperator._tables
+        gathered = []
+
+        def counting(self, j, radius, cells, buffers):
+            gathered.append(j)
+            return tables(self, j, radius, cells, buffers)
+
+        monkeypatch.setattr(ForwardOperator, "_tables", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                gathered.clear()
+                for got, expected in zip(_bits(op, images, monkeypatch, 2), want, strict=True):
+                    np.testing.assert_array_equal(got, expected)
+                assert sorted(gathered) == np.flatnonzero(op.mirror >= np.arange(21)).tolist()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        sc = make_scenario("B_sparse", n=32, n_t=100)
+        monkeypatch.setattr(forward, "_worker", None)
+        op = ForwardOperator(sc)
+        assert len(_bits(op, [generate_phantom(PhantomParams(seed=54), sc.grid)], monkeypatch, 1)) == 1
+
+    def test_the_worker_is_started_on_first_use_and_kept(self, two_cores, monkeypatch):
+        sc = make_scenario("B_sparse", n=32, n_t=100)
+        worker = forward._worker
+        monkeypatch.setattr(forward, "_worker", None)
+        op = ForwardOperator(sc)  # the build starts no thread
+        monkeypatch.setattr(forward, "_worker", worker)
+        image = generate_phantom(PhantomParams(seed=55), sc.grid)
+        threads = []
+        for _ in range(2):
+            _bits(op, [image], monkeypatch, 2)
+            threads.append([t for t in threading.enumerate() if t.name.startswith(forward.WORKER_THREAD)])
+        assert len(threads[0]) == 1 and threads[1] == threads[0]
+        assert forward._worker(os.getpid()) is forward._worker(os.getpid())
+
+    def test_an_error_in_the_workers_unit_reaches_the_caller(self, two_cores, monkeypatch):
+        sc = make_scenario("B_sparse", n=32, n_t=100)
+        op = ForwardOperator(sc)
+        images = [generate_phantom(PhantomParams(seed=56), sc.grid)]
+        want = _bits(op, images, monkeypatch, 1)
+        tables = ForwardOperator._tables
+        started = threading.Event()
+
+        def failing_on_the_worker(self, j, radius, cells, buffers):
+            if threading.current_thread() is not threading.main_thread():
+                started.set()
+                raise RuntimeError("unit failed on the worker")
+            started.wait(timeout=30)  # so the worker takes a unit before the caller has them all
+            return tables(self, j, radius, cells, buffers)
+
+        monkeypatch.setattr(ForwardOperator, "_tables", failing_on_the_worker)
+        with pytest.raises(RuntimeError, match="on the worker"):
+            _bits(op, images, monkeypatch, 2)
+        assert started.is_set()
+        monkeypatch.setattr(ForwardOperator, "_tables", tables)
+        for got, expected in zip(_bits(op, images, monkeypatch, 2), want, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_an_error_in_the_callers_unit_waits_for_the_worker(self, two_cores, monkeypatch):
+        sc = make_scenario("B_sparse", n=32, n_t=100)
+        op = ForwardOperator(sc)
+        images = [generate_phantom(PhantomParams(seed=57), sc.grid)]
+        want = _bits(op, images, monkeypatch, 1)
+        tables = ForwardOperator._tables
+        started, failed, finished = threading.Event(), threading.Event(), []
+
+        def failing_on_the_caller(self, j, radius, cells, buffers):
+            if threading.current_thread() is threading.main_thread():
+                started.wait(timeout=30)
+                failed.set()
+                raise RuntimeError("unit failed on the caller")
+            started.set()
+            failed.wait(timeout=30)
+            means = tables(self, j, radius, cells, buffers)
+            finished.append(j)
+            return means
+
+        monkeypatch.setattr(ForwardOperator, "_tables", failing_on_the_caller)
+        with pytest.raises(RuntimeError, match="on the caller"):
+            _bits(op, images, monkeypatch, 2)
+        # the worker finished the unit it had and took no other
+        assert len(finished) == 1
+        monkeypatch.setattr(ForwardOperator, "_tables", tables)
+        for got, expected in zip(_bits(op, images, monkeypatch, 2), want, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+
+_MEMORY_SIZES = [("A_limited_view", 64, 100, 400), ("B_sparse", 128, 20, 100)]
+
+
 class TestSimulationMemory:
-    @pytest.mark.parametrize("label, n, n_s, n_t", [("A_limited_view", 64, 100, 400), ("B_sparse", 128, 20, 100)])
-    def test_build_and_batch_peak_within_estimate(self, label, n, n_s, n_t):
+    @staticmethod
+    def _assert_peak_within_estimate(label, n, n_s, n_t):
         sc = make_scenario(label, n=n, n_s=n_s, n_t=n_t)
         rng = np.random.default_rng(2)
         # full-square support: every ray is sampled to the padded border
         images = [Image(sc.grid, rng.random((n, n))) for _ in range(forward.GEN_CHUNK)]
-        tracemalloc.start()
+        tracemalloc.start()  # traces the worker thread's allocations too
         try:
             op = ForwardOperator(sc)
             op.simulate_batch(images)
@@ -735,6 +901,17 @@ class TestSimulationMemory:
         finally:
             tracemalloc.stop()
         assert peak <= simulation_bytes(n, n_s, n_t, op.n_angles, op.n_r_per_dt)
+
+    @pytest.mark.parametrize("label, n, n_s, n_t", _MEMORY_SIZES)
+    def test_build_and_batch_peak_within_estimate(self, monkeypatch, label, n, n_s, n_t):
+        monkeypatch.setattr(forward, "WORKERS", 1)
+        self._assert_peak_within_estimate(label, n, n_s, n_t)
+
+    @pytest.mark.parametrize("label, n, n_s, n_t", _MEMORY_SIZES)
+    def test_two_workers_peak_within_estimate(self, two_cores, monkeypatch, label, n, n_s, n_t):
+        # the estimate counts one set of gather buffers per participant
+        monkeypatch.setattr(forward, "WORKERS", 2)
+        self._assert_peak_within_estimate(label, n, n_s, n_t)
 
     def test_larger_than_available_memory_fails_before_allocating(self, monkeypatch):
         sc = make_scenario("A_limited_view", n=32, n_t=100)

@@ -485,6 +485,21 @@ class TestDataset:
         assert "numpy=2.1.3rc1\n" in (tmp_path / Dataset.MANIFEST).read_text()
         assert Dataset.open(tmp_path).provenance == provenance
 
+    def test_workers_and_scipy_roundtrip(self, tmp_path):
+        sc, _ = _make_dataset(tmp_path, count=1)
+        provenance = {"seed": 3, "workers": 2, "numpy": "2.4.6", "scipy": "1.17.1"}
+        Dataset(tmp_path, sc, "train", [Dataset.stem(0)], provenance).write_manifest()
+        text = (tmp_path / Dataset.MANIFEST).read_text()
+        assert "workers=2\n" in text and "scipy=1.17.1\n" in text
+        assert Dataset.open(tmp_path).provenance == provenance
+
+    def test_manifest_without_workers_and_scipy_opens(self, tmp_path):
+        # a manifest written before the two keys were recorded
+        sc, _ = _make_dataset(tmp_path, count=1)
+        provenance = {"seed": 3, "noise": 0.0, "n_angles": 64, "n_r_per_dt": 4, "version": "0.1.0", "numpy": "2.4.6"}
+        Dataset(tmp_path, sc, "train", [Dataset.stem(0)], provenance).write_manifest()
+        assert Dataset.open(tmp_path).provenance == provenance
+
     def test_manifest_without_provenance_opens(self, tmp_path):
         _make_dataset(tmp_path, count=1)
         assert Dataset.open(tmp_path).provenance == {}
